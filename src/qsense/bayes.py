@@ -1,9 +1,13 @@
 """Grid-based Bayesian posterior updates and the posterior covariance matrix.
 
 Posteriors live on dense tensor grids (up to three parameters) and weights
-accumulate in log space, so long update sequences cannot underflow.  Updates
-renormalise every step; because the likelihood of i.i.d. outcomes factorises,
-the final posterior is invariant under reordering of the outcome sequence.
+accumulate in log space, so long update sequences cannot underflow.
+`bayes_update` multiplies in one outcome and renormalises.  Because the
+likelihood of i.i.d. outcomes factorises, the posterior after k outcomes
+depends only on their tallies n_o(k): `asymptotic_check` forms it directly as
+log prior + sum_o n_o(k) log P(o|theta), normalised once, through the
+log-likelihood core shared with maximum likelihood, and only at the steps it
+reports.  The posterior is invariant under reordering of the outcome sequence.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from scipy.special import logsumexp
 from .core import NumericalError, POVM, ValidationError
 from .bounds import classical_fim, pseudo_inverse
 from .model import ParametricModel, probabilities, probability_table
-from .estimation import parameter_axes, trial_generator
+from .estimation import LOG_FLOOR, _log_table, _loglik_nodes, parameter_axes, trial_generator
 
 DEFAULT_RESOLUTION = {1: 2001, 2: 301, 3: 61}
 MASS_FLOOR = 1e-300
@@ -108,12 +112,17 @@ def bayes_update(
         raise ValidationError("likelihood table does not match the posterior grid")
     with np.errstate(divide="ignore"):
         lw = post.log_weights + np.log(lik)
+    return _normalised(post.axes, lw, np.log(MASS_FLOOR))
+
+
+def _normalised(axes, lw: np.ndarray, log_mass_floor: float) -> PosteriorGrid:
+    """Posterior from unnormalised log-weights; refuses a mass below the floor."""
     log_mass = float(logsumexp(lw))
-    if not np.isfinite(log_mass) or log_mass < np.log(MASS_FLOOR):
+    if not np.isfinite(log_mass) or log_mass < log_mass_floor:
         raise NumericalError(
             "posterior mass vanished: the observed outcome is impossible on the prior support"
         )
-    return PosteriorGrid(post.axes, lw - log_mass)
+    return PosteriorGrid(axes, lw - log_mass)
 
 
 def bayes_covariance(post: PosteriorGrid, theta_ref) -> np.ndarray:
@@ -169,14 +178,6 @@ def posterior_to_csv(post: PosteriorGrid, path) -> None:
             writer.writerow([repr(float(x)) for x in node] + [repr(float(w))])
 
 
-def suggest_control(post: PosteriorGrid):
-    """Adaptive-control hook: map a posterior to suggested control phases.
-
-    Integration point for adaptive schemes; no policy ships with this package.
-    """
-    raise NotImplementedError("no adaptive control policy is implemented")
-
-
 @dataclass(frozen=True)
 class AsymptoticReport:
     """Posterior shrinkage compared with the inverse-information prediction."""
@@ -200,14 +201,20 @@ def asymptotic_check(
     box,
     resolution=None,
     on_step=None,
+    snapshot_every: int = 1,
 ) -> AsymptoticReport:
-    """Run m sequential updates on sampled outcomes and compare with F^-1/m.
+    """Posterior after m sampled outcomes, compared with F^-1/m.
 
-    With no data (m = 0) the report simply carries the prior covariance.
-    Runs with m below a thousand are flagged pre-asymptotic.  ``on_step``
-    (step_index, posterior) is invoked after every update, e.g. to stream
-    snapshots.
+    The posterior after k outcomes is log prior + sum_o n_o(k) log P(o|theta),
+    normalised once; it is materialised only where it is needed.  ``on_step``
+    (step_index, posterior) is invoked at every step k with
+    k % snapshot_every == 0 and at k = m, e.g. to stream snapshots; the
+    default snapshot_every = 1 reports every step.  With no data (m = 0) the
+    report simply carries the prior covariance.  Runs with m below a thousand
+    are flagged pre-asymptotic.
     """
+    if snapshot_every < 1:
+        raise ValidationError("snapshot_every must be >= 1")
     theta_true = np.atleast_1d(np.asarray(theta_true, dtype=float))
     post = uniform_prior(box, resolution)
     if m == 0:
@@ -226,9 +233,19 @@ def asymptotic_check(
     p_true = probabilities(model, povm, theta_true).values
     rng = trial_generator(seed, 0)
     outcomes = rng.choice(len(p_true), size=m, p=p_true)
-    table = likelihood_table(model, povm, post.axes)
-    for step, k in enumerate(outcomes, start=1):
-        post = bayes_update(post, model, povm, int(k), table=table)
+    log_table = _log_table(likelihood_table(model, povm, post.axes))
+    prior = post.log_weights
+    steps = list(range(snapshot_every, m, snapshot_every)) if on_step is not None else []
+    steps.append(m)
+    tallies = np.zeros(len(p_true), dtype=np.int64)
+    seen = 0
+    for step in steps:
+        tallies += np.bincount(outcomes[seen:step], minlength=len(p_true))
+        seen = step
+        ll = _loglik_nodes(tallies, log_table).reshape(prior.shape)
+        # the whole-sequence mass is routinely far below MASS_FLOOR; the
+        # posterior is empty only when every node saw an impossible outcome
+        post = _normalised(post.axes, prior + ll, 0.5 * LOG_FLOOR)
         if on_step is not None:
             on_step(step, post)
 

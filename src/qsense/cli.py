@@ -337,7 +337,7 @@ def _run_dqs(cfg: dict, strict: bool) -> tuple[dict, dict]:
     return results, {"qfim_rank": fisher.rank}
 
 
-def _run_simulate(cfg: dict, seed: int, threads: int, csv_path) -> tuple[dict, dict]:
+def _run_simulate(cfg: dict, seed: int, csv_path) -> tuple[dict, dict]:
     model, theta = build_model(cfg["model"])
     povm = build_povm(cfg["povm"], model.dim)
     report = saturation_report(
@@ -350,7 +350,6 @@ def _run_simulate(cfg: dict, seed: int, threads: int, csv_path) -> tuple[dict, d
         box=cfg["domain"],
         resolution=cfg.get("grid_resolution", 2001),
         csv_path=csv_path,
-        threads=threads,
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(
@@ -382,9 +381,8 @@ def _run_bayes(cfg: dict, seed: int, csv_path) -> tuple[dict, dict]:
         writer.writerow(["step", "grid_index", "weight"])
 
     def on_step(step, post):
-        if writer is not None and (step % snapshot_every == 0 or step == m):
-            for idx, w in enumerate(post.weights.ravel()):
-                writer.writerow([step, idx, repr(float(w))])
+        for idx, w in enumerate(post.weights.ravel()):
+            writer.writerow([step, idx, repr(float(w))])
 
     try:
         report = asymptotic_check(
@@ -395,7 +393,8 @@ def _run_bayes(cfg: dict, seed: int, csv_path) -> tuple[dict, dict]:
             seed=seed,
             box=cfg["domain"],
             resolution=cfg.get("grid_resolution"),
-            on_step=on_step,
+            on_step=on_step if writer is not None else None,
+            snapshot_every=snapshot_every,
         )
     finally:
         if writer_ctx is not None:
@@ -421,7 +420,6 @@ def run(
     out: str | None = None,
     seed: int | None = None,
     strict: bool = False,
-    threads: int = 1,
     quiet: bool = False,
 ) -> int:
     """Execute one scenario file; returns the process exit code."""
@@ -458,7 +456,7 @@ def run(
         elif scenario == "dqs":
             results, diagnostics = _run_dqs(cfg, effective_strict)
         elif scenario == "simulate":
-            results, diagnostics = _run_simulate(cfg, effective_seed, threads, csv_path)
+            results, diagnostics = _run_simulate(cfg, effective_seed, csv_path)
         else:
             results, diagnostics = _run_bayes(cfg, effective_seed, csv_path)
     except ConfigError as exc:
@@ -501,7 +499,6 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--strict", action="store_true", help="treat inestimable directions as errors"
     )
-    parser.add_argument("--threads", type=int, default=1, help="parallel trial count")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
     args = parser.parse_args(argv)
     sys.exit(
@@ -510,7 +507,6 @@ def main(argv=None) -> None:
             out=args.out,
             seed=args.seed,
             strict=args.strict,
-            threads=args.threads,
             quiet=args.quiet,
         )
     )

@@ -86,6 +86,27 @@ class HermitianOperator:
         return self.entries.shape[0]
 
 
+def check_density_matrices(arr: np.ndarray) -> None:
+    """Validate a density matrix, or a stack of them with shape (..., n, n).
+
+    Each matrix is checked on its own: nonzero, Hermitian relative to its own
+    largest entry, unit trace and positive semidefinite.  The first violated
+    check raises, naming the first offending matrix's value where it has one.
+    """
+    scale = np.abs(arr).max(axis=(-2, -1))
+    if (scale == 0.0).any():
+        raise ValidationError("density matrix is identically zero")
+    skew = np.abs(arr - np.swapaxes(arr, -1, -2).conj()).max(axis=(-2, -1))
+    if (skew > HERMITICITY_TOL * scale).any():
+        raise ValidationError("density matrix is not Hermitian within tolerance")
+    tr = np.trace(arr, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValidationError(f"density matrix trace {tr[off].flat[0]} deviates from 1")
+    if (np.linalg.eigvalsh(arr).min(axis=-1) < -PSD_TOL).any():
+        raise ValidationError("density matrix has a negative eigenvalue")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Trace-one positive-semidefinite Hermitian matrix."""
@@ -94,16 +115,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         arr = _as_complex_matrix(self.entries)
-        scale = float(np.abs(arr).max())
-        if scale == 0.0:
-            raise ValidationError("density matrix is identically zero")
-        if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL * scale:
-            raise ValidationError("density matrix is not Hermitian within tolerance")
-        tr = arr.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density matrix trace {tr} deviates from 1")
-        if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
-            raise ValidationError("density matrix has a negative eigenvalue")
+        check_density_matrices(arr)
         object.__setattr__(self, "entries", _frozen(arr))
 
     @property
@@ -292,7 +304,10 @@ def tensor_product(a, b, *, max_dim: int = DENSE_DIMENSION_CAP):
 
 
 def spectral_decomposition(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian matrix."""
+    """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian matrix.
+
+    A stack (..., n, n) of Hermitian matrices is decomposed matrix by matrix.
+    """
     arr = h.entries if isinstance(h, (HermitianOperator, DensityMatrix)) else np.asarray(h)
     try:
         evals, evecs = np.linalg.eigh(arr)

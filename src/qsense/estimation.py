@@ -3,12 +3,15 @@
 Randomness comes from counter-based Philox streams keyed by (seed, trial), so
 trials are reproducible and order-independent: running them in any order, or
 in parallel, yields identical records.
+
+Maximum likelihood here and the Bayes posteriors in `bayes` share one
+log-likelihood core: the log of the probability table (`_log_table`) and the
+products counts @ log_table (`_loglik_nodes`).
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,8 @@ from .model import ParametricModel, probabilities, probability_table
 GRID_RESOLUTION_DEFAULT = 2001
 MAX_GRID_DIMENSIONS = 2
 LOG_FLOOR = -1e30  # stand-in for log(0) that keeps argmax well-defined
+TRIAL_BLOCK_ENTRIES = 2**16  # log-likelihood entries per block of trials
+TIE_REL_TOL = 1e-12  # log-likelihoods this close to the best count as ties
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,29 @@ class EstimateRecord:
     refined: bool
 
 
+def _trial_key(seed: int, trial: int) -> np.ndarray:
+    return np.array([seed % 2**64, trial % 2**64], dtype=np.uint64)
+
+
 def trial_generator(seed: int, trial: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, trial); streams never overlap."""
-    key = np.array([seed % 2**64, trial % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_trial_key(seed, trial)))
+
+
+def _rewind(bit_generator: np.random.Philox, seed: int, trial: int) -> None:
+    """Set a Philox to the start of the (seed, trial) stream of `trial_generator`.
+
+    Reusing one Philox this way costs a few microseconds per trial; building
+    a new one costs ~16 us, several times a multinomial draw.
+    """
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _trial_key(seed, trial)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def sample_outcomes(
@@ -92,42 +116,56 @@ def parameter_axes(box, resolution=GRID_RESOLUTION_DEFAULT) -> list[np.ndarray]:
 
 
 def _log_table(table: np.ndarray) -> np.ndarray:
+    """log P(o|node), with the finite LOG_FLOOR where the probability is 0.
+
+    The floor is finite so that a zero count times an impossible outcome adds
+    exactly 0 to a log-likelihood instead of 0 * (-inf) = nan.
+    """
     out = np.full(table.shape, LOG_FLOOR)
     np.log(table, out=out, where=table > 0)
     return out
 
 
 def _loglik_nodes(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
-    flat = log_table.reshape(len(counts), -1)
-    active = counts > 0
-    return counts[active] @ flat[active]
+    """Log-likelihood sum_o n_o log P(o|node) at every grid node.
+
+    ``counts`` is one tally (n_outcomes,) or a block of them
+    (rows, n_outcomes); the result has one row of nodes per tally.
+    """
+    return counts @ log_table.reshape(log_table.shape[0], -1)
 
 
-def _refine_quadratic(ll: np.ndarray, flat_idx: int, axes) -> tuple[np.ndarray, bool]:
-    """One parabolic refinement per axis around the grid argmax."""
+def _grid_argmax(ll: np.ndarray, axes):
+    """Grid argmax of each row of ``ll`` (rows, nodes), refined by one parabola per axis.
+
+    Ties (within TIE_REL_TOL of the best value) break toward the lowest
+    flattened grid index, are flagged, and keep the grid node unrefined; an
+    axis whose argmax sits on the grid edge, or whose three-point curvature is
+    not negative and finite, keeps its grid coordinate and clears ``refined``.
+    Returns (theta_hat (rows, d), best (rows,), tied (rows,), refined (rows,)).
+    """
     shape = tuple(len(ax) for ax in axes)
-    idx = np.unravel_index(flat_idx, shape)
-    theta = np.array([ax[i] for ax, i in zip(axes, idx)])
-    grid_ll = ll.reshape(shape)
-    refined = True
+    rows = np.arange(ll.shape[0])
+    best = ll.max(axis=1)
+    near = ll >= (best - TIE_REL_TOL * np.maximum(1.0, np.abs(best)))[:, None]
+    tied = near.sum(axis=1) > 1
+    idx = np.unravel_index(near.argmax(axis=1), shape)
+    theta = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
+    grid_ll = ll.reshape((len(rows),) + shape)
+    l0 = grid_ll[(rows,) + idx]
+    refined = ~tied
     for axis, (ax, i) in enumerate(zip(axes, idx)):
-        if i == 0 or i == len(ax) - 1:
-            refined = False
-            continue
-        sel = list(idx)
-        sel[axis] = i - 1
-        lm = grid_ll[tuple(sel)]
-        sel[axis] = i + 1
-        lp = grid_ll[tuple(sel)]
-        l0 = grid_ll[idx]
+        inner = (i > 0) & (i < len(ax) - 1)
+        lm = grid_ll[(rows,) + idx[:axis] + (np.maximum(i - 1, 0),) + idx[axis + 1:]]
+        lp = grid_ll[(rows,) + idx[:axis] + (np.minimum(i + 1, len(ax) - 1),) + idx[axis + 1:]]
         denom = lm - 2.0 * l0 + lp
-        if not np.isfinite(denom) or denom >= 0 or not np.isfinite(lm + lp):
-            refined = False
-            continue
-        shift = 0.5 * (lm - lp) / denom
-        shift = float(np.clip(shift, -0.5, 0.5))
-        theta[axis] = ax[i] + shift * (ax[1] - ax[0])
-    return theta, refined
+        ok = inner & np.isfinite(denom) & (denom < 0) & np.isfinite(lm + lp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = np.clip(0.5 * (lm - lp) / denom, -0.5, 0.5)
+        move = ok & ~tied
+        theta[move, axis] = ax[i[move]] + shift[move] * (ax[1] - ax[0])
+        refined &= ok
+    return theta, best, tied, refined
 
 
 def max_likelihood(
@@ -146,23 +184,12 @@ def max_likelihood(
             f"grid estimation is limited to {MAX_GRID_DIMENSIONS} parameters"
         )
     axes = parameter_axes(box, resolution)
-    table = probability_table(model, povm, axes)
-    log_table = _log_table(table)
+    log_table = _log_table(probability_table(model, povm, axes))
     ll = _loglik_nodes(record.counts, log_table)
-    best = float(ll.max())
-    if best <= LOG_FLOOR * 0.5:
+    theta, best, tied, refined = _grid_argmax(ll[None, :], axes)
+    if best[0] <= LOG_FLOOR * 0.5:
         raise NumericalError("likelihood vanishes everywhere on the grid")
-    near = ll >= best - 1e-12 * max(1.0, abs(best))
-    tied = bool(near.sum() > 1)
-    # lowest flattened index wins, also across floating-point-level ties
-    flat_idx = int(np.argmax(near))
-    theta, refined = _refine_quadratic(ll, flat_idx, axes)
-    if tied:
-        refined = False
-        shape = tuple(len(ax) for ax in axes)
-        idx = np.unravel_index(flat_idx, shape)
-        theta = np.array([ax[i] for ax, i in zip(axes, idx)])
-    return EstimateRecord(theta, best, tied, refined)
+    return EstimateRecord(theta[0], float(best[0]), bool(tied[0]), bool(refined[0]))
 
 
 def empirical_covariance(estimates, theta_true) -> np.ndarray:
@@ -215,12 +242,15 @@ def saturation_report(
     box,
     resolution=GRID_RESOLUTION_DEFAULT,
     csv_path=None,
-    threads: int = 1,
 ) -> SaturationReport:
     """Repeated sample-and-estimate rounds compared with the Cramer-Rao matrix.
 
-    Each trial uses its own (seed, trial)-keyed stream; ``threads`` only
-    parallelises independent trials, the output is identical for any value.
+    Trial t draws its tallies from its own (seed, t)-keyed stream and is
+    estimated as in `max_likelihood` (grid argmax, tie flag, parabolic
+    refinement).  Trials are tallied in blocks of a fixed number of rows, at
+    most TRIAL_BLOCK_ENTRIES log-likelihood entries each, with one
+    counts @ log_table product per block; the last block is padded to the same
+    shape, so a trial's estimate does not depend on how many trials run.
     """
     if trials < 100:
         raise ValidationError("need at least 100 trials for a saturation report")
@@ -228,29 +258,22 @@ def saturation_report(
     p_true = probabilities(model, povm, theta).values
     axes = parameter_axes(box, resolution)
     log_table = _log_table(probability_table(model, povm, axes))
-    shape = tuple(len(ax) for ax in axes)
+    nodes = log_table[0].size
+    block = max(1, TRIAL_BLOCK_ENTRIES // nodes)
 
-    def one_trial(t: int):
-        counts = trial_generator(seed, t).multinomial(m, p_true)
-        ll = _loglik_nodes(counts, log_table)
-        best = float(ll.max())
-        near = ll >= best - 1e-12 * max(1.0, abs(best))
-        flat_idx = int(np.argmax(near))
-        if near.sum() > 1:
-            idx = np.unravel_index(flat_idx, shape)
-            est = np.array([ax[i] for ax, i in zip(axes, idx)])
-        else:
-            est, _ = _refine_quadratic(ll, flat_idx, axes)
-        return est, best
+    theta_hats = np.empty((trials, len(axes)))
+    logliks = np.empty(trials)
+    counts = np.zeros((block, len(p_true)), dtype=np.int64)
+    rng = trial_generator(seed)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        counts[stop - start:] = 0
+        for row, t in enumerate(range(start, stop)):
+            _rewind(rng.bit_generator, seed, t)
+            counts[row] = rng.multinomial(m, p_true)
+        ll = _loglik_nodes(counts, log_table)[: stop - start]
+        theta_hats[start:stop], logliks[start:stop], _, _ = _grid_argmax(ll, axes)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(t) for t in range(trials)]
-
-    theta_hats = np.stack([r[0] for r in results])
-    logliks = np.array([r[1] for r in results])
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)

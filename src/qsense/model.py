@@ -4,6 +4,11 @@ A model carries an evaluation map plus one of three derivative strategies:
 exact derivatives of a unitary family (via the Frechet derivative of the
 matrix exponential), user-supplied derivative callbacks, or Richardson-refined
 central finite differences.
+
+`probability_table` evaluates a whole parameter grid at once: unitary families
+go through one batched eigendecomposition per block of nodes, other models
+through their `evaluate` map, and both through the same stacked density-matrix
+and probability checks that guard a single node.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .core import (
     POVM,
     NumericalError,
     ValidationError,
+    check_density_matrices,
+    spectral_decomposition,
 )
 
 PROB_CLIP = 1e-12          # negatives above this are roundoff, clipped to zero
@@ -27,6 +34,8 @@ PROB_SUM_TOL = 1e-9
 FD_DEFAULT_STEP = 1e-5
 FD_TRACE_TOL = 5e-8        # tracelessness of finite-difference derivatives
 ANALYTIC_TRACE_TOL = 1e-12
+TABLE_BLOCK_NODES = 1024      # grid nodes per batched eigendecomposition
+TABLE_BLOCK_ENTRIES = 2**16   # and at most this many matrix entries per block
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,24 @@ class FiniteDifferences:
     step: float = FD_DEFAULT_STEP
 
 
+def normalised_probabilities(values) -> np.ndarray:
+    """Clip roundoff negatives and renormalise outcome probabilities.
+
+    ``values`` has the outcomes on axis 0 and may carry further axes (one
+    column per grid node); every column is checked and normalised on its own.
+    """
+    vals = np.asarray(values, dtype=float)
+    low = vals.min()
+    if low < -PROB_CLIP:
+        raise ValidationError(f"probability {low} below the clipping floor -{PROB_CLIP}")
+    vals = np.clip(vals, 0.0, None)
+    total = vals.sum(axis=0)
+    off = np.abs(total - 1.0) > PROB_SUM_TOL
+    if off.any():
+        raise ValidationError(f"probabilities sum to {np.asarray(total)[off].flat[0]}, not 1")
+    return vals / total
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Outcome probabilities under a POVM; tiny negatives clipped, sum renormalised."""
@@ -58,16 +85,7 @@ class ProbabilityVector:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.min() < -PROB_CLIP:
-            raise ValidationError(
-                f"probability {vals.min()} below the clipping floor -{PROB_CLIP}"
-            )
-        vals = np.clip(vals, 0.0, None)
-        total = vals.sum()
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {total}, not 1")
-        vals = vals / total
+        vals = normalised_probabilities(self.values)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -86,17 +104,35 @@ class ParametricModel:
     domain: tuple[tuple[float, float], ...] | None = None
 
 
+def _check_domain(model: ParametricModel, points: np.ndarray) -> None:
+    """Reject parameter points (..., d) outside the model's domain box."""
+    if model.domain is None:
+        return
+    lo, hi = np.array(model.domain).T
+    outside = (points < lo) | (points > hi)
+    if outside.any():
+        where = tuple(np.argwhere(outside)[0])
+        lo_j, hi_j = model.domain[where[-1]]
+        raise ValidationError(
+            f"parameter value {points[where]} outside domain [{lo_j}, {hi_j}]"
+        )
+
+
 def _check_theta(model: ParametricModel, theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if len(theta) != model.parameter_count:
         raise ValidationError(
             f"model has {model.parameter_count} parameters, got {len(theta)}"
         )
-    if model.domain is not None:
-        for t, (lo, hi) in zip(theta, model.domain):
-            if t < lo or t > hi:
-                raise ValidationError(f"parameter value {t} outside domain [{lo}, {hi}]")
+    _check_domain(model, theta)
     return theta
+
+
+def _check_povm_dim(model: ParametricModel, povm: POVM) -> None:
+    if povm.dim != model.dim:
+        raise ValidationError(
+            f"POVM dimension {povm.dim} does not match model dimension {model.dim}"
+        )
 
 
 def unitary_family(
@@ -235,10 +271,7 @@ def encoding_generators(model: ParametricModel, theta) -> list[np.ndarray]:
 def probabilities(model: ParametricModel, povm: POVM, theta) -> ProbabilityVector:
     """Born-rule outcome probabilities P(k|theta) = Tr[rho_theta E_k]."""
     theta = _check_theta(model, theta)
-    if povm.dim != model.dim:
-        raise ValidationError(
-            f"POVM dimension {povm.dim} does not match model dimension {model.dim}"
-        )
+    _check_povm_dim(model, povm)
     rho = model.evaluate(theta).entries
     vals = np.array([np.real(np.trace(rho @ e.entries)) for e in povm.elements])
     return ProbabilityVector(vals)
@@ -246,10 +279,7 @@ def probabilities(model: ParametricModel, povm: POVM, theta) -> ProbabilityVecto
 
 def probability_derivatives(model: ParametricModel, povm: POVM, theta) -> np.ndarray:
     """Matrix dP[j, k] = d_j P(k|theta) from the model's derivative strategy."""
-    if povm.dim != model.dim:
-        raise ValidationError(
-            f"POVM dimension {povm.dim} does not match model dimension {model.dim}"
-        )
+    _check_povm_dim(model, povm)
     derivs = state_derivatives(model, theta)
     out = np.empty((model.parameter_count, len(povm)))
     for j, d in enumerate(derivs):
@@ -258,14 +288,42 @@ def probability_derivatives(model: ParametricModel, povm: POVM, theta) -> np.nda
     return out
 
 
+def _density_block(model: ParametricModel, nodes: np.ndarray) -> np.ndarray:
+    """Stack (k, n, n) of rho_theta at the k parameter points ``nodes``.
+
+    A unitary family takes one batched eigendecomposition of sum_j theta_j H_j:
+    U = V exp(-i Lambda) V^dag, rho = U rho0 U^dag.  Any other model is
+    evaluated node by node through its own ``evaluate`` map.
+    """
+    strategy = model.strategy
+    if not isinstance(strategy, UnitaryEncoding):
+        return np.stack([model.evaluate(th).entries for th in nodes])
+    stack = np.stack([g.entries for g in strategy.generators])
+    evals, evecs = spectral_decomposition(np.tensordot(nodes, stack, axes=1))
+    u = (evecs * np.exp(-1j * evals)[:, None, :]) @ np.swapaxes(evecs, -1, -2).conj()
+    return u @ strategy.initial.entries @ np.swapaxes(u, -1, -2).conj()
+
+
 def probability_table(model: ParametricModel, povm: POVM, axes) -> np.ndarray:
-    """P(k|theta) tabulated on a tensor grid; shape (n_outcomes, *grid_shape)."""
+    """P(k|theta) tabulated on a tensor grid; shape (n_outcomes, *grid_shape).
+
+    Nodes are processed in blocks of at most TABLE_BLOCK_NODES (and at most
+    TABLE_BLOCK_ENTRIES density-matrix entries).  Every node passes the same
+    checks as `probabilities`: domain, density matrix, clip floor and sum.
+    """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != model.parameter_count:
         raise ValidationError("grid dimensionality does not match the model")
+    _check_povm_dim(model, povm)
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in mesh], axis=1)
+    _check_domain(model, nodes)
+    elements = np.stack([e.entries for e in povm.elements])
+    block = max(1, min(TABLE_BLOCK_NODES, TABLE_BLOCK_ENTRIES // model.dim**2))
     table = np.empty((len(povm), nodes.shape[0]))
-    for i, th in enumerate(nodes):
-        table[:, i] = probabilities(model, povm, th).values
+    for start in range(0, nodes.shape[0], block):
+        rho = _density_block(model, nodes[start:start + block])
+        check_density_matrices(rho)
+        born = np.einsum("nab,kba->kn", rho, elements).real
+        table[:, start:start + block] = normalised_probabilities(born)
     return table.reshape((len(povm),) + tuple(len(ax) for ax in axes))

@@ -7,6 +7,7 @@ from qsense.core import (
     NumericalError,
     PAULI_Z,
     POVM,
+    ValidationError,
     identity,
     projective_measurement,
 )
@@ -19,11 +20,10 @@ from qsense.bayes import (
     posterior_mean,
     posterior_mode,
     posterior_spread,
-    suggest_control,
     uniform_prior,
 )
 from qsense.estimation import sample_outcomes, trial_generator
-from qsense.model import unitary_family
+from qsense.model import finite_difference_model, unitary_family
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
 X_BASIS = projective_measurement(
@@ -176,13 +176,67 @@ class TestAsymptoticCheck:
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.abs(a.covariance - b.covariance).max() == 0.0
 
+    def test_snapshots_match_sequential_updates(self):
+        model = phase_model()
+        box = [(0.2, 2.9)]
+        m, every = 157, 10
+        snaps = {}
+        report = asymptotic_check(
+            model, X_BASIS, [1.0], m=m, seed=3, box=box, resolution=301,
+            on_step=lambda step, post: snaps.__setitem__(step, post), snapshot_every=every,
+        )
+        prior = uniform_prior(box, 301)
+        table = likelihood_table(model, X_BASIS, prior.axes)
+        post = prior
+        for step, k in enumerate(report.outcomes, start=1):
+            post = bayes_update(post, model, X_BASIS, int(k), table=table)
+            if step in snaps:
+                assert np.abs(snaps[step].weights - post.weights).max() < 1e-12
+        assert np.abs(report.mode - posterior_mode(post)).max() == 0.0
+        assert np.abs(report.mean - posterior_mean(post)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "m, every", [(12, None), (25, 1), (25, 5), (23, 5), (7, 10), (30, 30)]
+    )
+    def test_on_step_fires_at_snapshot_steps(self, m, every):
+        steps = []
+        asymptotic_check(
+            phase_model(), X_BASIS, [1.0], m=m, seed=1, box=[(0.2, 2.9)], resolution=51,
+            on_step=lambda step, post: steps.append(step),
+            **({} if every is None else {"snapshot_every": every}),
+        )
+        every = every or 1  # the default reports every step
+        assert steps == [k for k in range(1, m + 1) if k % every == 0 or k == m]
+
+    def test_snapshot_every_must_be_positive(self):
+        with pytest.raises(ValidationError, match="snapshot_every"):
+            asymptotic_check(
+                phase_model(), X_BASIS, [1.0], m=5, seed=1, box=[(0.2, 2.9)],
+                resolution=51, snapshot_every=0,
+            )
+
+    def test_emptied_posterior_raises(self):
+        # outcome 1 is certain at the true value and impossible on the whole box
+        up = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        down = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
+        model = finite_difference_model(1, 2, lambda th: up if th[0] < 5.0 else down)
+        z_basis = projective_measurement([np.array([1, 0]), np.array([0, 1])])
+        for on_step in (None, lambda step, post: None):
+            with pytest.raises(NumericalError, match="vanished"):
+                asymptotic_check(
+                    model, z_basis, [6.0], m=5, seed=0, box=[(0.0, 1.0)], resolution=11,
+                    on_step=on_step,
+                )
+
+    def test_long_run_keeps_its_mass(self):
+        # the total log-likelihood of m = 4000 outcomes is far below log(MASS_FLOOR)
+        report = asymptotic_check(
+            phase_model(), X_BASIS, [1.0], m=4000, seed=2, box=[(0.2, 2.9)], resolution=201,
+        )
+        assert np.isfinite(report.covariance).all()
+
 
 class TestHooks:
-    def test_control_hook_is_explicitly_unimplemented(self):
-        post = uniform_prior([(0.0, 1.0)], 11)
-        with pytest.raises(NotImplementedError):
-            suggest_control(post)
-
     def test_posterior_csv_export(self, tmp_path):
         from qsense.bayes import posterior_to_csv
 

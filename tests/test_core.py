@@ -16,6 +16,7 @@ from qsense.core import (
     ValidationError,
     WeightMatrix,
     apply_phase_encoding,
+    check_density_matrices,
     density_from_pure,
     diagonal_operator,
     identity,
@@ -45,6 +46,32 @@ class TestTypes:
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((2, 2)), "identically zero"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermitian"),
+        (np.eye(2), "trace"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+    ])
+    def test_density_stack_checks_each_matrix(self, bad, message):
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        stack = np.stack([plus, plus, plus]).reshape(3, 2, 2)
+        check_density_matrices(stack)
+        stack[1] = bad
+        with pytest.raises(ValidationError, match=message):
+            check_density_matrices(stack)
+        with pytest.raises(ValidationError, match=message):
+            DensityMatrix(bad)
+
+    def test_density_stack_hermiticity_is_relative_to_each_matrix(self):
+        # a skew of 7e-13 is within 1e-12 of the stack's largest entry (1.0)
+        # but not of the skewed matrix's own largest entry (0.5)
+        pure = np.diag([1.0, 0.0]).astype(complex)
+        mixed = np.eye(2, dtype=complex) / 2
+        mixed[0, 1] = 7e-13
+        check_density_matrices(np.stack([pure, np.eye(2, dtype=complex) / 2]))
+        with pytest.raises(ValidationError, match="Hermitian"):
+            check_density_matrices(np.stack([pure, mixed]))
 
     def test_povm_completeness_rejection(self):
         good = projective_measurement([np.array([1, 0]), np.array([0, 1])])

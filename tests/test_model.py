@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsense.core import (
     DensityMatrix,
@@ -7,17 +8,20 @@ from qsense.core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    POVM,
     ValidationError,
     identity,
     projective_measurement,
     tensor_product,
 )
 from qsense.model import (
+    TABLE_BLOCK_NODES,
     encoding_generators,
     explicit_model,
     finite_difference_model,
     probabilities,
     probability_derivatives,
+    probability_table,
     state_derivatives,
     unitary_family,
 )
@@ -76,6 +80,15 @@ class TestProbabilities:
         assert p.values[1] == 0.0
         with pytest.raises(ValidationError, match="clipping floor"):
             ProbabilityVector(np.array([1.001, -0.001]))
+
+    def test_grid_columns_are_normalised_and_checked_one_by_one(self):
+        from qsense.model import normalised_probabilities
+
+        cols = normalised_probabilities(np.array([[0.25, 1.0 + 4e-10], [0.75, -5e-13]]))
+        assert np.array_equal(cols[:, 0], [0.25, 0.75])
+        assert cols[1, 1] == 0.0 and cols[0, 1] == 1.0
+        with pytest.raises(ValidationError, match="sum to 0.9"):
+            normalised_probabilities(np.array([[0.25, 0.5], [0.75, 0.4]]))
 
 
 class TestStateDerivatives:
@@ -176,3 +189,86 @@ class TestProbabilityDerivatives:
         plus = probabilities(model, X_BASIS, theta + eps).values
         minus = probabilities(model, X_BASIS, theta - eps).values
         assert np.abs(dp[0] - (plus - minus) / (2 * eps)).max() < 1e-8
+
+
+def random_povm(rng, dim, outcomes):
+    """E_k = S^-1/2 A_k S^-1/2 for random PSD A_k with S = sum_k A_k."""
+    mats = []
+    for _ in range(outcomes):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mats.append(a @ a.conj().T)
+    evals, evecs = np.linalg.eigh(sum(mats))
+    inv_sqrt = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
+    return POVM(tuple(HermitianOperator(inv_sqrt @ m @ inv_sqrt) for m in mats))
+
+
+def per_node_table(model, povm, axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    nodes = np.stack([g.ravel() for g in mesh], axis=1)
+    table = np.stack([probabilities(model, povm, th).values for th in nodes], axis=1)
+    return table.reshape((len(povm),) + tuple(len(ax) for ax in axes))
+
+
+class TestProbabilityTable:
+    """The batched grid path against the per-node `probabilities` oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(2, 4),
+        d=st.integers(1, 3),
+        outcomes=st.integers(1, 6),
+        points=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_equals_per_node_unitary(self, dim, d, outcomes, points, seed):
+        rng = np.random.default_rng(seed)
+        model = random_unitary_model(rng, dim, d)
+        povm = random_povm(rng, dim, outcomes)
+        axes = [np.sort(rng.uniform(-3.0, 3.0, size=points)) for _ in range(d)]
+        table = probability_table(model, povm, axes)
+        assert table.shape == (outcomes,) + (points,) * d
+        assert np.abs(table - per_node_table(model, povm, axes)).max() <= 1e-12
+
+    def test_batched_equals_per_node_across_blocks(self):
+        rng = np.random.default_rng(5)
+        model = random_unitary_model(rng, 3, 1)
+        povm = random_povm(rng, 3, 4)
+        axes = [np.linspace(-2.0, 2.0, 2 * TABLE_BLOCK_NODES + 7)]
+        table = probability_table(model, povm, axes)
+        assert np.abs(table - per_node_table(model, povm, axes)).max() <= 1e-12
+
+    def test_finite_difference_model(self):
+        rng = np.random.default_rng(9)
+        reference = random_unitary_model(rng, 3, 2)
+        model = finite_difference_model(2, 3, reference.evaluate)
+        povm = random_povm(rng, 3, 3)
+        axes = [np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 2.0, 5)]
+        table = probability_table(model, povm, axes)
+        assert np.abs(table - per_node_table(model, povm, axes)).max() <= 1e-12
+        assert np.abs(table - probability_table(reference, povm, axes)).max() <= 1e-12
+
+    def test_domain_violation_rejected(self):
+        model = unitary_family(PLUS, [half(PAULI_Z)], domain=[(0.0, 1.0)])
+        with pytest.raises(ValidationError, match="outside domain"):
+            probability_table(model, X_BASIS, [np.linspace(0.0, 1.5, 7)])
+
+    def test_povm_dimension_mismatch_rejected(self):
+        model = unitary_family(PLUS, [half(PAULI_Z)])
+        qutrit = projective_measurement([np.eye(3)[i] for i in range(3)])
+        with pytest.raises(ValidationError, match="dimension"):
+            probability_table(model, qutrit, [np.linspace(0.0, 1.0, 5)])
+
+    def test_real_negative_probability_rejected(self):
+        # the second element has eigenvalue -5e-10: inside the POVM tolerance,
+        # but it gives the state |0><0| a probability below the clipping floor
+        eps = 5e-10
+        povm = POVM((
+            HermitianOperator(np.diag([1.0 + eps, 0.0]).astype(complex)),
+            HermitianOperator(np.diag([-eps, 1.0]).astype(complex)),
+        ))
+        model = unitary_family(DensityMatrix(np.diag([1.0, 0.0]).astype(complex)),
+                               [half(PAULI_Z)])
+        with pytest.raises(ValidationError, match="clipping floor"):
+            probabilities(model, povm, [0.3])
+        with pytest.raises(ValidationError, match="clipping floor"):
+            probability_table(model, povm, [np.linspace(0.0, 1.0, 5)])
