@@ -58,6 +58,7 @@ from .bayes import asymptotic_check
 from .estimation import saturation_report
 
 REPORT_SCHEMA_ID = "qsense-report-v1"
+BRACKET_RTOL = 1e-6  # relative slack of QCRB <= HB <= h(X0) in holevo scenarios
 
 _PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
@@ -275,9 +276,15 @@ def _run_holevo(cfg: dict, strict: bool) -> tuple[dict, dict]:
     qcrb = scalar_bound(result.qfim, w, m, strict=strict)
     solution = holevo_bound(model, theta, w)
     hb = solution.value / m
+    h_x0 = solution.h_x0 / m
+    if not qcrb.value * (1.0 - BRACKET_RTOL) <= hb <= h_x0 * (1.0 + BRACKET_RTOL):
+        raise NumericalError(
+            f"Holevo bound {hb} outside its bracket [QCRB {qcrb.value}, h(X0) {h_x0}]"
+        )
     results = {
         "qcrb": qcrb.value,
         "hb": hb,
+        "h_x0": h_x0,
         "ratio": hb / qcrb.value if qcrb.value > 0 else "inf",
         "r": result.r_measure,
         "v_opt": solution.v_opt,

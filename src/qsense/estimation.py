@@ -194,15 +194,13 @@ def max_likelihood(
 
 def empirical_covariance(estimates, theta_true) -> np.ndarray:
     """Mean outer product of (theta_true - theta_hat) over trials."""
-    pts = [np.atleast_1d(np.asarray(t, dtype=float)) for t in estimates]
+    pts = np.asarray(estimates, dtype=float)
+    if pts.ndim == 1:  # one scalar estimate per trial
+        pts = pts[:, None]
     if len(pts) < 2:
         raise ValidationError("need at least two estimates")
-    theta = np.atleast_1d(np.asarray(theta_true, dtype=float))
-    acc = np.zeros((len(theta), len(theta)))
-    for p in pts:
-        diff = theta - p
-        acc += np.outer(diff, diff)
-    return acc / len(pts)
+    diff = np.atleast_1d(np.asarray(theta_true, dtype=float)) - pts
+    return diff.T @ diff / len(pts)
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,30 @@ tuples X = (X_1, ..., X_d) obeying Tr[rho X_i] = theta_i and
 Tr[(d_j rho) X_i] = delta_ij, subject to V >= Z[X] with
 Z[X]_ij = Tr[rho (X_i - theta_i)(X_j - theta_j)].
 
-The PSD constraint enters through the Gram lifting
-    [[V, M^dag], [M, I]] >= 0,    M columns = vec((X_i - theta_i) sqrt(rho)),
-so that M^dag M = Z[X].  A compact log-det barrier interior-point method with
-Newton steps and backtracking line search solves the lifting; the unbiasedness
-constraints are eliminated affinely, so only homogeneous coefficients and V
+Writing M for the matrix with columns vec((X_i - theta_i) sqrt(rho)), so that
+M^dag M = Z[X], the constraint is the Gram lifting [[V, M^dag], [M, I]] >= 0.
+Its lower-right block is I, so the lifting is PSD exactly when its Schur
+complement A = V - M^dag M is, and log det of the lifting equals log det A.
+A compact log-det barrier interior-point method (Newton steps, backtracking
+line search) therefore works on the q x q matrix A alone: with P = A^-1 and
+the homogeneous directions G, every gradient and Hessian block is a product
+of P, N = M^dag G and G^dag G (see ``SchurBarrier``).  The unbiasedness
+constraints are eliminated affinely, so only homogeneous coefficients C and V
 are optimised.
 
 Rank-deficient weight matrices need care: the infimum over the full-space V
 is then generally not attained (kernel-direction entries of V must diverge to
-certify feasibility), so the solve runs on V compressed to the weight support,
-where the minimum exists, and a finite full-space certificate V_opt is
-completed afterwards.  A second barrier V <= R*I is kept as a safety wall.
+certify feasibility), so the solve runs on V' = V compressed to the weight
+support, where the minimum exists, and the reported bound is that compressed
+objective Tr[W V'] = s_w sum_p d_p V'_pp.  A finite full-space V_opt is kept
+only as a certificate: its kernel block is tau I with tau the largest
+eigenvalue of the Schur complement Z_22 + B^dag (V' - Z_11)^-1 B, plus a small
+relative margin.  A second barrier V <= R*I is kept as a safety wall.
+
+The solution also carries h(X_0) = Tr[W Re Z[X_0]] + TrAbs[sqrt(W) Im Z[X_0]
+sqrt(W)] at the particular solution X_0 (which equals Tr[W F^-1] +
+TrAbs[sqrt(W) F^-1 G F^-1 sqrt(W)]): an upper bracket of the bound, exact for
+D-invariant models and so for every qubit.
 """
 
 from __future__ import annotations
@@ -24,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .core import (
     HermitianOperator,
@@ -40,25 +51,23 @@ HOLEVO_DIM_CAP = 16
 GAP_TARGET = 1e-7      # relative duality-gap target of the barrier method
 NEWTON_CAP = 500
 BARRIER_FACTOR = 20.0
+CERTIFICATE_MARGIN = 1e-9  # relative headroom of the kernel block tau
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the real vector space of n x n Hermitians."""
-    basis = []
-    for a in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[a, a] = 1.0
-        basis.append(e)
+def hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal (Frobenius) basis of the real vector space of n x n Hermitians.
+
+    Stacked as an (n^2, n, n) array: the n diagonal units, then for each a < b
+    (row-major) the symmetric and the antisymmetric off-diagonal element.
+    """
+    a, b = np.triu_indices(n, 1)
+    sym = n + 2 * np.arange(len(a))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[a, b] = e[b, a] = inv_sqrt2
-            basis.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[a, b] = -1j * inv_sqrt2
-            f[b, a] = 1j * inv_sqrt2
-            basis.append(f)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[sym, a, b] = basis[sym, b, a] = inv_sqrt2
+    basis[sym + 1, a, b] = -1j * inv_sqrt2
+    basis[sym + 1, b, a] = 1j * inv_sqrt2
     return basis
 
 
@@ -75,6 +84,11 @@ class UnbiasedFamily:
     homogeneous: tuple[HermitianOperator, ...]
 
 
+def _hermitian_stack(arr: np.ndarray) -> tuple[HermitianOperator, ...]:
+    arr = 0.5 * (arr + np.swapaxes(arr, -1, -2).conj())
+    return tuple(HermitianOperator(x) for x in arr)
+
+
 def unbiased_family(model: ParametricModel, theta) -> UnbiasedFamily:
     """Particular solution theta + F^+ L and the constraint null-space basis."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -83,42 +97,41 @@ def unbiased_family(model: ParametricModel, theta) -> UnbiasedFamily:
     result = qfim(model, theta)
     fplus = pseudo_inverse(result.qfim).matrix
     n, d = model.dim, model.parameter_count
-    eye = np.eye(n)
 
-    particular = []
-    for i in range(d):
-        x = theta[i] * eye + sum(fplus[i, j] * result.slds[j].entries for j in range(d))
-        particular.append(HermitianOperator(0.5 * (x + x.conj().T)))
-
-    for i, x in enumerate(particular):
-        if abs(np.real(np.trace(rho.entries @ x.entries)) - theta[i]) > 1e-9:
-            raise NumericalError("particular solution violates the state constraint")
-        for j, dr in enumerate(derivs):
-            target = 1.0 if i == j else 0.0
-            if abs(np.real(np.trace(dr.entries @ x.entries)) - target) > 1e-8:
-                raise NumericalError(
-                    "parameters are not locally identifiable "
-                    "(information matrix singular along a requested direction)"
-                )
+    slds = np.stack([s.entries for s in result.slds])
+    particular = _hermitian_stack(
+        np.einsum("ij,jab->iab", fplus, slds) + theta[:, None, None] * np.eye(n)
+    )
+    x_stack = np.stack([x.entries for x in particular])
+    # rows: Tr[rho .] then Tr[d_j rho .]
+    ops = np.stack([rho.entries] + [dr.entries for dr in derivs])
+    traces = np.einsum("rab,iba->ri", ops, x_stack).real
+    if np.abs(traces[0] - theta).max() > 1e-9:
+        raise NumericalError("particular solution violates the state constraint")
+    if np.abs(traces[1:] - np.eye(d)).max() > 1e-8:
+        raise NumericalError(
+            "parameters are not locally identifiable "
+            "(information matrix singular along a requested direction)"
+        )
 
     basis = hermitian_basis(n)
-    rows = [np.array([np.real(np.trace(rho.entries @ b)) for b in basis])]
-    for dr in derivs:
-        rows.append(np.array([np.real(np.trace(dr.entries @ b)) for b in basis]))
-    constraints = np.stack(rows)
-    if np.linalg.matrix_rank(constraints, tol=1e-10) < d + 1:
+    constraints = np.einsum("rab,kba->rk", ops, basis).real
+    _, sing, vh = np.linalg.svd(constraints)
+    if int((sing > 1e-10).sum()) < d + 1:
         raise NumericalError("unbiasedness constraints are linearly dependent")
-    null = null_space(constraints)
-    homogeneous = []
-    for col in null.T:
-        b = sum(c * mat for c, mat in zip(col, basis))
-        homogeneous.append(HermitianOperator(0.5 * (b + b.conj().T)))
-    return UnbiasedFamily(tuple(particular), tuple(homogeneous))
+    # null-space rank rule of scipy.linalg.null_space
+    rank = int((sing > sing.max() * np.finfo(float).eps * max(constraints.shape)).sum())
+    homogeneous = vh[rank:] @ basis.reshape(n * n, n * n)
+    return UnbiasedFamily(particular, _hermitian_stack(homogeneous.reshape(-1, n, n)))
 
 
 @dataclass(frozen=True)
 class HolevoSolution:
-    """Optimal value, minimiser and solver diagnostics."""
+    """Optimal value, minimiser, the upper bracket h(X_0) and solver diagnostics.
+
+    ``residuals["v_minus_z_min_eig"]`` is the smallest eigenvalue of
+    V_opt - Z[X_opt] relative to the spectral norm of V_opt.
+    """
 
     value: float
     x_opt: tuple[HermitianOperator, ...]
@@ -126,6 +139,11 @@ class HolevoSolution:
     iterations: int
     gap: float
     residuals: dict[str, float]
+    h_x0: float
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
 
 
 def _min_eig_block(v_mat: np.ndarray, m_mat: np.ndarray) -> float:
@@ -136,7 +154,80 @@ def _min_eig_block(v_mat: np.ndarray, m_mat: np.ndarray) -> float:
     block[:d, d:] = m_mat.conj().T
     block[d:, :d] = m_mat
     block[d:, d:] = np.eye(nr)
-    return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
+    return float(np.linalg.eigvalsh(_hermitian_part(block)).min())
+
+
+class SchurBarrier:
+    """Barrier t Tr[D V] - log det(V - M^dag M) - log det(R I - V), M = M0 + G C^T.
+
+    V is q x q real symmetric, coordinatised by its upper triangle (row-major);
+    C is q x k real.  A parameter vector is those V coordinates followed by
+    C in row-major order.
+    """
+
+    def __init__(self, m0: np.ndarray, g_mat: np.ndarray, d_hat: np.ndarray):
+        self.m0, self.g_mat, self.d_hat = m0, g_mat, d_hat
+        q, k = len(d_hat), g_mat.shape[1]
+        p, r = np.triu_indices(q)
+        self.q, self.k, self.n_v = q, k, len(p)
+        # E_a: the symmetric unit matrix of V coordinate a
+        self.e_stack = np.zeros((self.n_v, q, q))
+        self.e_stack[np.arange(self.n_v), p, r] = 1.0
+        self.e_stack[np.arange(self.n_v), r, p] = 1.0
+        self.obj_coef = np.where(p == r, d_hat[p], 0.0)  # Tr[D V] in V coordinates
+        self.gram_g = g_mat.conj().T @ g_mat  # H = G^dag G, fixed for the solve
+
+    def objective(self, v_mat: np.ndarray) -> float:
+        return float(np.diag(v_mat) @ self.d_hat)
+
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Parameter vector -> (V, C)."""
+        return (np.einsum("a,aij->ij", x[: self.n_v], self.e_stack),
+                x[self.n_v:].reshape(self.q, self.k))
+
+    def _schur(self, v_mat, c_mat):
+        m = self.m0 + self.g_mat @ c_mat.T
+        return _hermitian_part(v_mat - m.conj().T @ m), m
+
+    def barrier_value(self, v_mat, c_mat, r_wall: float, t: float) -> float | None:
+        """Barrier value, or None outside the domain."""
+        a_mat, _ = self._schur(v_mat, c_mat)
+        try:
+            ca = np.linalg.cholesky(a_mat)
+            ct = np.linalg.cholesky(r_wall * np.eye(self.q) - v_mat)
+        except np.linalg.LinAlgError:
+            return None
+        logdet_a = 2.0 * np.log(np.abs(np.diag(ca))).sum()
+        logdet_t = 2.0 * np.log(np.diag(ct)).sum()
+        return t * self.objective(v_mat) - logdet_a - logdet_t
+
+    def newton_system(self, v_mat, c_mat, r_wall: float, t: float):
+        """Gradient and Hessian of ``barrier_value`` in the parameter vector."""
+        q, k, n_v = self.q, self.k, self.n_v
+        a_mat, m = self._schur(v_mat, c_mat)
+        p_inv = _hermitian_part(np.linalg.inv(a_mat))
+        t_inv = _hermitian_part(np.linalg.inv(r_wall * np.eye(q) - v_mat))
+        n_mat = m.conj().T @ self.g_mat           # N = M^dag G
+        y = p_inv @ n_mat                         # Y = P N
+        kh = n_mat.conj().T @ y + self.gram_g     # K + H
+        pe = p_inv @ self.e_stack                 # P E_a
+        te = t_inv @ self.e_stack                 # T^-1 E_a
+
+        grad = np.concatenate([
+            t * self.obj_coef + np.einsum("aii->a", te).real - np.einsum("aii->a", pe).real,
+            2.0 * y.real.ravel(),
+        ])
+
+        hess = np.empty((n_v + q * k, n_v + q * k))
+        hess[:n_v, :n_v] = (np.einsum("aij,bji->ab", pe, pe).real
+                            + np.einsum("aij,bji->ab", te, te).real)
+        h_vc = -2.0 * (pe @ y).real.reshape(n_v, q * k)
+        hess[:n_v, n_v:] = h_vc
+        hess[n_v:, :n_v] = h_vc.T
+        hess[n_v:, n_v:] = 2.0 * (
+            np.einsum("jk,il->ikjl", y, y) + np.einsum("ji,kl->ikjl", p_inv, kh)
+        ).real.reshape(q * k, q * k)
+        return grad, 0.5 * (hess + hess.T)
 
 
 def holevo_bound(
@@ -150,8 +241,8 @@ def holevo_bound(
     """Compute the Holevo bound for one model, parameter point and weight matrix.
 
     The weight matrix is normalised by its trace before solving (the bound is
-    exactly homogeneous in W) and the reported value is Tr[W V_opt] for the
-    original W.
+    exactly homogeneous in W) and the reported value is the compressed
+    objective Tr[W V'] for the original W.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     w = weight if isinstance(weight, WeightMatrix) else WeightMatrix(weight)
@@ -171,40 +262,27 @@ def holevo_bound(
     keep = lam > RANK_REL_TOL * float(lam.max())
     us = u[:, keep] * np.sqrt(np.clip(lam[keep], 0.0, None))
     nr = n * int(keep.sum())
-    eye_n = np.eye(n)
 
-    def vec_on_support(op: np.ndarray) -> np.ndarray:
-        return (op @ us).ravel()
-
-    m0 = np.stack(
-        [vec_on_support(x.entries - t * eye_n) for x, t in zip(family.particular, theta)],
-        axis=1,
-    )
+    # columns vec((X_i - theta_i) sqrt(rho)) of the particular solution, and
+    # rows vec(B sqrt(rho)) of the homogeneous directions
+    x0 = np.stack([x.entries for x in family.particular])
+    m0 = ((x0 - theta[:, None, None] * np.eye(n)) @ us).reshape(d, nr).T
+    hom = np.array([b.entries for b in family.homogeneous], dtype=complex).reshape(-1, n, n)
+    raw = (hom @ us).reshape(len(hom), nr)
 
     # Keep only homogeneous directions that actually move X sqrt(rho); directions
     # supported on the kernel of rho never change Z[X].
-    raw = [vec_on_support(b.entries) for b in family.homogeneous]
-    hom_mats: list[np.ndarray] = []
-    g_cols: list[np.ndarray] = []
-    if raw:
-        real_rows = np.stack([np.concatenate([v.real, v.imag]) for v in raw])
-        gram = real_rows @ real_rows.T
-        sig, u_red = np.linalg.eigh(gram)
-        sig, u_red = sig[::-1], u_red[:, ::-1]
-        tol = sig.max() * 1e-16 if sig.size else 0.0
-        for j in range(len(sig)):
-            if sig[j] <= tol:
-                continue
-            combo = u_red[:, j]
-            g = sum(c * v for c, v in zip(combo, raw))
-            norm = np.linalg.norm(g)
-            if norm <= 1e-12:
-                continue
-            g_cols.append(g / norm)
-            mat = sum(c * b.entries for c, b in zip(combo, family.homogeneous)) / norm
-            hom_mats.append(mat)
-    k_eff = len(g_cols)
-    g_mat = np.stack(g_cols, axis=1) if k_eff else np.zeros((nr, 0), dtype=complex)
+    real_rows = np.concatenate([raw.real, raw.imag], axis=1)
+    sig, u_red = np.linalg.eigh(real_rows @ real_rows.T)
+    sig, u_red = sig[::-1], u_red[:, ::-1]
+    combos = u_red[:, sig > sig.max(initial=0.0) * 1e-16]
+    g_raw = raw.T @ combos
+    norms = np.linalg.norm(g_raw, axis=0)
+    moving = norms > 1e-12
+    combos = combos[:, moving] / norms[moving]
+    g_mat = g_raw[:, moving] / norms[moving]
+    hom_mats = np.einsum("jk,jab->kab", combos, hom)
+    k_eff = g_mat.shape[1]
 
     # Work with V rotated into the weight eigenbasis and compressed onto the
     # weight support: min Tr[D V'] with V' >= Q^T Z[X] Q.
@@ -213,101 +291,28 @@ def holevo_bound(
     w_evals, w_vecs = w_evals[order], w_vecs[:, order]
     rank_w = int((w_evals > 1e-12 * w_evals[0]).sum())
     q_map = w_vecs[:, :rank_w]
-    d_hat = w_evals[:rank_w] / s_w
+    barrier = SchurBarrier(m0 @ q_map, g_mat, w_evals[:rank_w] / s_w)
+    objective = barrier.objective
 
-    m0q = m0 @ q_map
-    z0q = m0q.conj().T @ m0q
+    z0q = barrier.m0.conj().T @ barrier.m0
     re_z0 = 0.5 * (z0q.real + z0q.real.T)
     im_norm = float(np.linalg.norm(z0q.imag, 2))
     scale_z = float(np.linalg.norm(z0q, 2)) + 1.0
     v_init = re_z0 + (im_norm + 1e-2 * scale_z) * np.eye(rank_w)
 
-    q_dim = rank_w
-    vpairs = [(p, q) for p in range(q_dim) for q in range(p, q_dim)]
-    n_v = len(vpairs)
-    p_tot = n_v + q_dim * k_eff
-    s1 = q_dim + nr
-    nu_total = float(s1 + q_dim)  # barrier parameters of the two log-det terms
-
-    obj_coef = np.zeros(p_tot)
-    for a, (p, q) in enumerate(vpairs):
-        obj_coef[a] = d_hat[p] if p == q else 0.0
-
-    def objective(v_mat: np.ndarray) -> float:
-        return float(np.diag(v_mat) @ d_hat)
-
-    def build_s(v_mat, c_mat):
-        m = m0q + (g_mat @ c_mat.T if k_eff else 0.0)
-        s = np.zeros((s1, s1), dtype=complex)
-        s[:q_dim, :q_dim] = v_mat
-        s[:q_dim, q_dim:] = m.conj().T
-        s[q_dim:, :q_dim] = m
-        s[q_dim:, q_dim:] = np.eye(nr)
-        return 0.5 * (s + s.conj().T)
-
-    def barrier_value(v_mat, c_mat, r_wall, t):
-        s = build_s(v_mat, c_mat)
-        t_mat = r_wall * np.eye(q_dim) - v_mat
-        try:
-            cs = np.linalg.cholesky(s)
-            ct = np.linalg.cholesky(t_mat)
-        except np.linalg.LinAlgError:
-            return None
-        logdet_s = 2.0 * np.log(np.abs(np.diag(cs))).sum()
-        logdet_t = 2.0 * np.log(np.diag(ct)).sum()
-        return t * objective(v_mat) - logdet_s - logdet_t
+    p_tot = barrier.n_v + rank_w * k_eff
+    # barrier parameters of the two log-det terms (the lifting is (q + nr) square)
+    nu_total = float(rank_w + nr + rank_w)
 
     def solve_with_wall(r_wall):
         v_mat = v_init.copy()
-        c_mat = np.zeros((q_dim, k_eff))
+        c_mat = np.zeros((rank_w, k_eff))
         newton_used = 0
         t = max(1.0, nu_total / (abs(objective(v_mat)) + 1.0))
         for _stage in range(200):
+            f_now = barrier.barrier_value(v_mat, c_mat, r_wall, t)
             for _inner in range(100):
-                s = build_s(v_mat, c_mat)
-                t_mat = r_wall * np.eye(q_dim) - v_mat
-                s_inv = np.linalg.inv(s)
-                s_inv = 0.5 * (s_inv + s_inv.conj().T)
-                t_inv = np.linalg.inv(t_mat)
-                t_inv = 0.5 * (t_inv + t_inv.T)
-
-                u_stack = np.zeros((p_tot, s1, s1), dtype=complex)
-                grad = t * obj_coef.copy()
-                for a, (p, q) in enumerate(vpairs):
-                    u_stack[a][:, q] += s_inv[:, p]
-                    if p != q:
-                        u_stack[a][:, p] += s_inv[:, q]
-                    grad[a] -= float(np.real(s_inv[q, p] + (s_inv[p, q] if p != q else 0.0)))
-                    grad[a] += float(np.real(t_inv[q, p] + (t_inv[p, q] if p != q else 0.0)))
-                if k_eff:
-                    s_inv_g = s_inv[:, q_dim:] @ g_mat
-                    a = n_v
-                    for i in range(q_dim):
-                        for k in range(k_eff):
-                            b_conj = np.zeros(s1, dtype=complex)
-                            b_conj[q_dim:] = g_mat[:, k].conj()
-                            u_stack[a] = np.outer(s_inv[:, i], b_conj)
-                            u_stack[a][:, i] += s_inv_g[:, k]
-                            grad[a] -= float(
-                                2.0 * np.real(g_mat[:, k].conj() @ s_inv[q_dim:, i])
-                            )
-                            a += 1
-
-                flat = u_stack.reshape(p_tot, -1)
-                flat_t = u_stack.transpose(0, 2, 1).reshape(p_tot, -1)
-                hess = np.real(flat_t @ flat.T)
-
-                # wall-barrier contribution (V parameters only)
-                u2 = np.zeros((n_v, q_dim, q_dim))
-                for a, (p, q) in enumerate(vpairs):
-                    u2[a][:, q] -= t_inv[:, p]
-                    if p != q:
-                        u2[a][:, p] -= t_inv[:, q]
-                flat2 = u2.reshape(n_v, -1)
-                flat2_t = u2.transpose(0, 2, 1).reshape(n_v, -1)
-                hess[:n_v, :n_v] += flat2_t @ flat2.T
-                hess = 0.5 * (hess + hess.T)
-
+                grad, hess = barrier.newton_system(v_mat, c_mat, r_wall, t)
                 try:
                     delta = np.linalg.solve(hess, -grad)
                 except np.linalg.LinAlgError:
@@ -316,21 +321,12 @@ def holevo_bound(
                 lam2 = float(-grad @ delta)
                 if not np.isfinite(lam2) or lam2 <= 2e-11:
                     break
-
-                dv = np.zeros((q_dim, q_dim))
-                for a, (p, q) in enumerate(vpairs):
-                    dv[p, q] = dv[q, p] = delta[a]
-                dc = delta[n_v:].reshape(q_dim, k_eff) if k_eff else c_mat
-
-                f_now = barrier_value(v_mat, c_mat, r_wall, t)
+                dv, dc = barrier.split(delta)
                 alpha = 1.0
                 accepted = False
                 while alpha > 1e-14:
-                    f_new = barrier_value(
-                        v_mat + alpha * dv,
-                        c_mat + alpha * dc if k_eff else c_mat,
-                        r_wall,
-                        t,
+                    f_new = barrier.barrier_value(
+                        v_mat + alpha * dv, c_mat + alpha * dc, r_wall, t
                     )
                     if f_new is not None and f_new <= f_now - 0.25 * alpha * lam2:
                         accepted = True
@@ -339,8 +335,8 @@ def holevo_bound(
                 if not accepted:
                     break
                 v_mat = v_mat + alpha * dv
-                if k_eff:
-                    c_mat = c_mat + alpha * dc
+                c_mat = c_mat + alpha * dc
+                f_now = f_new
                 newton_used += 1
                 if newton_used > newton_cap:
                     raise NumericalError(
@@ -361,56 +357,46 @@ def holevo_bound(
         r_wall *= 10.0
 
     # reconstruct X (kernel-of-W components stay at the particular solution)
-    c_full = q_map @ c_opt if k_eff else np.zeros((d, 0))
-    x_opt = []
-    for i in range(d):
-        x = family.particular[i].entries.copy()
-        for k in range(k_eff):
-            x = x + c_full[i, k] * hom_mats[k]
-        x_opt.append(HermitianOperator(0.5 * (x + x.conj().T)))
-
-    m_final = m0 + (g_mat @ c_full.T if k_eff else 0.0)
+    c_full = q_map @ c_opt
+    x_opt = _hermitian_stack(x0 + np.einsum("ik,kab->iab", c_full, hom_mats))
+    m_final = m0 + g_mat @ c_full.T
     z_final = m_final.conj().T @ m_final
 
-    if rank_w == d:
-        v_opt = q_map @ v_prime @ q_map.T
-    else:
+    v_opt = q_map @ v_prime @ q_map.T
+    if rank_w < d:
         # complete the compressed minimiser to a finite full-space certificate
+        # [[V', Re Z_12], [Re Z_12^T, tau I]]; V_opt - Z >= 0 iff tau I dominates
+        # the Schur complement Z_22 + B^dag (V' - Z_11)^-1 B with B = i Im Z_12
         q_perp = w_vecs[:, rank_w:]
+        z11 = q_map.T @ z_final @ q_map
         z12 = q_map.T @ z_final @ q_perp
         z22 = q_perp.T @ z_final @ q_perp
-        dq = d - rank_w
-        tau = max(1.0, 2.0 * float(np.linalg.norm(z22, 2)))
-        for _ in range(40):
-            block = np.zeros((d, d))
-            block[:rank_w, :rank_w] = v_prime
-            block[:rank_w, rank_w:] = z12.real
-            block[rank_w:, :rank_w] = z12.real.T
-            block[rank_w:, rank_w:] = z22.real + tau * np.eye(dq)
-            v_opt = w_vecs @ block @ w_vecs.T
-            diff = v_opt - z_final
-            if float(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)).min()) >= -1e-8:
-                break
-            tau *= 10.0
+        b = 1j * z12.imag
+        top = z22 + b.conj().T @ np.linalg.solve(_hermitian_part(v_prime - z11), b)
+        lam_top = float(np.linalg.eigvalsh(_hermitian_part(top)).max())
+        tau = lam_top + CERTIFICATE_MARGIN * max(abs(lam_top), float(np.linalg.norm(v_prime, 2)))
+        off = q_map @ z12.real @ q_perp.T
+        v_opt = v_opt + off + off.T + tau * (q_perp @ q_perp.T)
 
     v_opt = 0.5 * (v_opt + v_opt.T)
-    diff = v_opt - z_final
-    vz_min = float(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)).min())
-    derivs = state_derivatives(model, theta)
-    rho_e = rho.entries
-    unbias_state = max(
-        abs(np.real(np.trace(rho_e @ x.entries)) - t) for x, t in zip(x_opt, theta)
-    )
-    unbias_deriv = max(
-        abs(np.real(np.trace(dr.entries @ x.entries)) - (1.0 if i == j else 0.0))
-        for i, x in enumerate(x_opt)
-        for j, dr in enumerate(derivs)
-    )
-    value = float(np.sum(w.entries * v_opt))
+    vz_min = float(np.linalg.eigvalsh(_hermitian_part(v_opt - z_final)).min())
+    vz_min /= max(float(np.linalg.norm(v_opt, 2)), np.finfo(float).tiny)
+
+    derivs = np.stack([dr.entries for dr in state_derivatives(model, theta)])
+    x_stack = np.stack([x.entries for x in x_opt])
+    unbias_state = np.abs(np.einsum("ab,iba->i", rho.entries, x_stack).real - theta).max()
+    unbias_deriv = np.abs(np.einsum("jab,iba->ij", derivs, x_stack).real - np.eye(d)).max()
+
+    # h(X_0): the inner minimum over V at the particular solution
+    z0 = m0.conj().T @ m0
+    sqrt_w = (w_vecs * np.sqrt(np.clip(w_evals, 0.0, None))) @ w_vecs.T
+    h_x0 = float(np.sum(w.entries * z0.real)
+                 + np.linalg.svd(sqrt_w @ z0.imag @ sqrt_w, compute_uv=False).sum())
+
     v_opt.setflags(write=False)
     return HolevoSolution(
-        value=value,
-        x_opt=tuple(x_opt),
+        value=s_w * objective(v_prime),
+        x_opt=x_opt,
         v_opt=v_opt,
         iterations=iterations,
         gap=gap * s_w,
@@ -420,6 +406,7 @@ def holevo_bound(
             "unbiasedness_state": float(unbias_state),
             "unbiasedness_derivative": float(unbias_deriv),
         },
+        h_x0=h_x0,
     )
 
 

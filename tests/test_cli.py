@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import jsonschema
 import pytest
 
+import qsense.cli as cli_module
 from qsense.cli import ScenarioConfig, _load_schema, run
 
 QUBIT_MODEL = {
@@ -131,7 +133,36 @@ class TestBoundsAndHolevoScenarios:
         report = load_report(tmp_path / "h.json")
         assert abs(report["results"]["qcrb"] - 2.0) < 1e-9
         assert abs(report["results"]["hb"] - 4.0) < 1e-4
+        assert abs(report["results"]["h_x0"] - 4.0) < 1e-9
         assert abs(report["results"]["r"] - 1.0) < 1e-8
+
+    def test_hb_outside_bracket_exits_3(self, tmp_path, monkeypatch):
+        solve = cli_module.holevo_bound
+
+        def above_bracket(*args, **kwargs):
+            solution = solve(*args, **kwargs)
+            return dataclasses.replace(solution, value=solution.h_x0 * (1 + 1e-5))
+
+        monkeypatch.setattr(cli_module, "holevo_bound", above_bracket)
+        cfg = {
+            "scenario": "holevo",
+            "model": {
+                "kind": "unitary",
+                "initial_state": [[1.0, 0.0], [0.0, 0.0]],
+                "generators": [
+                    {"pauli": "x", "scale": 0.5},
+                    {"pauli": "y", "scale": 0.5},
+                ],
+                "theta": [0.0, 0.0],
+            },
+            "weight": {"kind": "identity"},
+            "output": {"report": str(tmp_path / "h.json")},
+        }
+        assert run(write_config(tmp_path, "h.json", cfg), quiet=True) == 3
+        report = load_report(tmp_path / "h.json")
+        assert report["error"]["type"] == "NumericalError"
+        assert "bracket" in report["error"]["message"]
+        jsonschema.validate(report, _load_schema("report.schema.json"))
 
     def test_numerical_failure_exits_3_with_error_payload(self, tmp_path):
         cfg = {

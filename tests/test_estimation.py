@@ -148,6 +148,14 @@ class TestEmpiricalCovariance:
         with pytest.raises(ValidationError):
             empirical_covariance([np.array([0.1])], np.array([0.1]))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_equals_mean_outer_product_loop(self, d):
+        rng = np.random.default_rng(8)
+        theta = rng.normal(size=d)
+        pts = theta + 0.1 * rng.normal(size=(500, d))
+        loop = sum(np.outer(theta - p, theta - p) for p in pts) / len(pts)
+        assert np.abs(empirical_covariance(list(pts), theta) - loop).max() < 1e-14
+
 
 class TestSaturationReport:
     def test_requires_hundred_trials(self):
