@@ -45,13 +45,13 @@ from .holevo import holevo_bound
 from .dqs import (
     ProbeSpec,
     build_probe,
+    check_direction,
     gain,
     global_sensor_network,
     local_network_from_total,
     local_sensor_network,
     phase_generators,
     probe_to_json,
-    verify_probe,
 )
 from .model import ParametricModel, unitary_family
 from .bayes import asymptotic_check
@@ -310,37 +310,25 @@ def _run_dqs(cfg: dict, strict: bool) -> tuple[dict, dict]:
         "qfim": fisher.matrix,
         "probe": probe_to_json(probe),
     }
-    directions, qcrbs, closed, deviations, gains, flags = [], [], [], [], [], []
+    checks = []
     for nu in cfg.get("nu", []):
         nu_arr = np.array(nu, dtype=float)
-        check = verify_probe(spec, nu_arr, m)
-        directions.append(nu_arr)
-        gains.append(gain(nu_arr))
-        flags.append(check.inestimable)
-        if check.inestimable:
-            if strict:
-                raise NumericalError(
-                    f"direction {nu_arr.tolist()} is inestimable for this probe"
-                )
-            qcrbs.append(None)
-            closed.append(None)
-            deviations.append(None)
-        else:
-            qcrbs.append(check.qfim_value)
-            closed.append(check.closed_form)
-            deviations.append(check.relative_deviation)
+        check = check_direction(spec, fisher, nu_arr, m)
+        if check.inestimable and strict:
+            raise NumericalError(f"direction {nu_arr.tolist()} is inestimable for this probe")
+        checks.append((nu_arr, check))
     if spec.family == "GENERALIZED_NOON":
-        check = verify_probe(spec, None, m)
+        check = check_direction(spec, fisher, None, m)
         results["trace_bound"] = check.qfim_value
         results["trace_bound_closed_form"] = check.closed_form
         results["trace_bound_deviation"] = check.relative_deviation
-    if directions:
-        results["directions"] = directions
-        results["qcrb"] = qcrbs
-        results["closed_form"] = closed
-        results["deviations"] = deviations
-        results["gains"] = gains
-        results["inestimable"] = flags
+    if checks:  # an inestimable direction has no value, closed form or deviation (None)
+        results["directions"] = [nu for nu, _ in checks]
+        results["qcrb"] = [c.qfim_value for _, c in checks]
+        results["closed_form"] = [c.closed_form for _, c in checks]
+        results["deviations"] = [c.relative_deviation for _, c in checks]
+        results["gains"] = [gain(nu) for nu, _ in checks]
+        results["inestimable"] = [c.inestimable for _, c in checks]
     return results, {"qfim_rank": fisher.rank}
 
 

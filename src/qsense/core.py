@@ -3,11 +3,13 @@
 Dense operators are thin validated wrappers around complex numpy arrays and are
 capped at a few hundred dimensions.  Multimode photonic states are stored
 sparsely as occupation-tuple -> amplitude maps and densified only on the sector
-they actually span.  All types are immutable after construction.
+they actually span; a Fock basis checks membership arithmetically and never
+lists its tuples.  All types are immutable after construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -27,6 +29,7 @@ RANK_REL_TOL = 1e-10      # support cut, relative to the largest eigenvalue
 COMPLEX_EQ_ATOL = 1e-10   # componentwise complex equality used in tests
 
 DENSE_DIMENSION_CAP = 512  # refuse to build dense objects beyond this
+PROBE_SUPPORT_CAP = 1_000_000  # refuse probe states with more amplitudes than this
 
 TOLERANCES = {
     "hermiticity": HERMITICITY_TOL,
@@ -37,6 +40,7 @@ TOLERANCES = {
     "rank_relative": RANK_REL_TOL,
     "complex_equality": COMPLEX_EQ_ATOL,
     "dense_dimension_cap": DENSE_DIMENSION_CAP,
+    "probe_support_cap": PROBE_SUPPORT_CAP,
 }
 
 
@@ -203,47 +207,36 @@ class WeightMatrix:
 # Fock space
 
 
-def _compositions(total: int, modes: int) -> Iterator[tuple[int, ...]]:
-    if modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, modes - 1):
-            yield (first,) + rest
+def fock_sector(modes: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Every occupation tuple of `modes` modes holding `total` particles, lexicographically."""
+    # stars and bars: bar positions in lexicographic order give tuples in that order
+    slots = total + modes - 1
+    for bars in itertools.combinations(range(slots), modes - 1):
+        edges = (-1, *bars, slots)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
 class FockBasis:
-    """All occupation tuples of a fixed particle number, lexicographically ordered."""
+    """Occupation tuples of a fixed particle number, checked arithmetically, never listed."""
 
     modes: int
     total_particles: int
-    occupations: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.modes < 1:
             raise ValidationError("need at least one mode")
         if self.total_particles < 0:
             raise ValidationError("particle number cannot be negative")
-        occ = tuple(_compositions(self.total_particles, self.modes))
-        expected = math.comb(self.total_particles + self.modes - 1, self.modes - 1)
-        if len(occ) != expected:
-            raise NumericalError("Fock enumeration does not match the multiset count")
-        object.__setattr__(self, "occupations", occ)
-        object.__setattr__(self, "_index", MappingProxyType({n: i for i, n in enumerate(occ)}))
 
     @property
     def size(self) -> int:
-        return len(self.occupations)
-
-    def index(self, occupation: tuple[int, ...]) -> int:
-        try:
-            return self._index[tuple(occupation)]
-        except KeyError:
-            raise ValidationError(f"occupation {occupation} not in this basis") from None
+        return math.comb(self.total_particles + self.modes - 1, self.modes - 1)
 
     def __contains__(self, occupation) -> bool:
-        return tuple(occupation) in self._index
+        occ = tuple(occupation)
+        valid = len(occ) == self.modes and all(k >= 0 and k == int(k) for k in occ)
+        return valid and sum(occ) == self.total_particles
 
 
 @dataclass(frozen=True)
@@ -342,8 +335,7 @@ def apply_phase_encoding(
 
 def spanned_sector(state: SparseMultimodeState) -> tuple[tuple[int, ...], ...]:
     """Occupations with nonzero amplitude, in basis (lexicographic) order."""
-    keys = [n for n, a in state.amplitudes.items() if abs(a) > 0.0]
-    return tuple(sorted(keys, key=state.basis.index))
+    return tuple(sorted(n for n, a in state.amplitudes.items() if abs(a) > 0.0))
 
 
 def state_vector(state: SparseMultimodeState, sector=None) -> np.ndarray:

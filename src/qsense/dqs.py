@@ -31,9 +31,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    DENSE_DIMENSION_CAP,
+    PROBE_SUPPORT_CAP,
     FockBasis,
     SparseMultimodeState,
     ValidationError,
+    fock_sector,
 )
 from .bounds import FisherMatrix, pseudo_inverse, qfim_pure
 
@@ -51,8 +54,8 @@ class SensorNetwork:
     particles: int  # per-sensor N for local reference, total N_T for global
 
     def __post_init__(self):
-        if self.sensors < 1:
-            raise ValidationError("need at least one sensor")
+        if not 1 <= self.sensors <= DENSE_DIMENSION_CAP:  # the d x d QFIM is dense
+            raise ValidationError(f"sensor count {self.sensors} not in [1, {DENSE_DIMENSION_CAP}]")
         if self.reference not in (LOCAL, GLOBAL):
             raise ValidationError(f"unknown reference type {self.reference!r}")
         if self.particles < 1:
@@ -109,6 +112,22 @@ class ProbeSpec:
             if len(signs) != self.network.sensors or any(s not in (-1, 1) for s in signs):
                 raise ValidationError("signs must be one entry of +-1 per sensor")
             object.__setattr__(self, "signs", signs)
+        if self.support_size > PROBE_SUPPORT_CAP:
+            raise ValidationError(
+                f"{self.family} probe would hold {self.support_size} amplitudes, more than "
+                f"the probe support cap ({PROBE_SUPPORT_CAP})"
+            )
+
+    @property
+    def support_size(self) -> int:
+        """Number of amplitudes `build_probe` creates, counted without building any."""
+        net = self.network
+        return {
+            "MSPS": (net.particles + 1) ** net.sensors,
+            "MSPE": 2**net.sensors,
+            "MEPS": FockBasis(net.modes, net.total_particles).size,
+            "MEPE": 2,
+        }.get(self.family, net.sensors + 1)
 
 
 def phase_generators(network: SensorNetwork) -> list[Callable[[tuple[int, ...]], float]]:
@@ -133,31 +152,21 @@ def build_probe(spec: ProbeSpec) -> SparseMultimodeState:
     basis = FockBasis(net.modes, net.total_particles)
     amps: dict[tuple[int, ...], complex] = {}
 
-    if spec.family == "MSPS":
-        # per sensor: N particles, each in (a + b)/sqrt(2); binomial amplitudes
-        per_sensor = [
-            ((k, n - k), math.sqrt(math.comb(n, k)) / 2 ** (n / 2.0)) for k in range(n + 1)
-        ]
+    if spec.family in ("MSPS", "MSPE"):
+        if spec.family == "MSPS":  # N particles, each in (a + b)/sqrt(2): binomial amplitudes
+            per_sensor = [((k, n - k), math.sqrt(math.comb(n, k)) / 2 ** (n / 2.0))
+                          for k in range(n + 1)]
+        else:  # a NOON state per sensor
+            per_sensor = [((n, 0), 1.0 / math.sqrt(2.0)), ((0, n), 1.0 / math.sqrt(2.0))]
         for combo in itertools.product(per_sensor, repeat=d):
-            occ = tuple(x for pair, _ in combo for x in pair)
-            amp = math.prod(a for _, a in combo)
-            amps[occ] = amp
-
-    elif spec.family == "MSPE":
-        branch = [((n, 0), 1.0 / math.sqrt(2.0)), ((0, n), 1.0 / math.sqrt(2.0))]
-        for combo in itertools.product(branch, repeat=d):
-            occ = tuple(x for pair, _ in combo for x in pair)
-            amps[occ] = math.prod(a for _, a in combo)
+            amps[tuple(x for pair, _ in combo for x in pair)] = math.prod(a for _, a in combo)
 
     elif spec.family == "MEPS":
         # N_T particles, each in the uniform superposition over all 2d modes
         n_t = net.total_particles
-        modes = net.modes
-        for occ in basis.occupations:
-            multinom = math.factorial(n_t)
-            for k in occ:
-                multinom //= math.factorial(k)
-            amps[occ] = math.sqrt(multinom) / modes ** (n_t / 2.0)
+        for occ in fock_sector(net.modes, n_t):
+            multinom = math.factorial(n_t) // math.prod(math.factorial(k) for k in occ)
+            amps[occ] = math.sqrt(multinom) / net.modes ** (n_t / 2.0)
 
     elif spec.family == "MEPE":
         signs = spec.signs or (1,) * d
@@ -260,15 +269,13 @@ class ProbeCheck:
     qfim: FisherMatrix
 
 
-def verify_probe(spec: ProbeSpec, nu, m: int = 1) -> ProbeCheck:
-    """Cross-validate a closed-form sensitivity against the probe's QFIM.
+def check_direction(spec: ProbeSpec, fisher: FisherMatrix, nu, m: int = 1) -> ProbeCheck:
+    """Compare the closed form for direction nu with the probe's QFIM `fisher`.
 
     Directions outside the information support are reported as inestimable
-    instead of producing a finite (meaningless) number.
+    instead of producing a finite (meaningless) number.  Generalized NOON
+    probes check the sum of phase variances and ignore nu.
     """
-    probe = build_probe(spec)
-    gens = phase_generators(spec.network)
-    fisher = qfim_pure(probe, gens)
     fplus = pseudo_inverse(fisher).matrix
 
     if spec.family == "GENERALIZED_NOON":
@@ -283,3 +290,9 @@ def verify_probe(spec: ProbeSpec, nu, m: int = 1) -> ProbeCheck:
     value = float(v @ fplus @ v) / m
     closed = closed_form_sensitivity(spec, v, m)
     return ProbeCheck(closed, value, abs(value - closed) / closed, False, fisher)
+
+
+def verify_probe(spec: ProbeSpec, nu, m: int = 1) -> ProbeCheck:
+    """Cross-validate a closed-form sensitivity against the probe's QFIM."""
+    fisher = qfim_pure(build_probe(spec), phase_generators(spec.network))
+    return check_direction(spec, fisher, nu, m)

@@ -329,7 +329,7 @@ def holevo_bound(
                         v_mat + alpha * dv, c_mat + alpha * dc, r_wall, t
                     )
                     if f_new is not None and f_new <= f_now - 0.25 * alpha * lam2:
-                        accepted = True
+                        accepted = f_new < f_now  # no decrease in floating point: stage done
                         break
                     alpha *= 0.5
                 if not accepted:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import qsense.cli as cli_module
@@ -54,6 +55,17 @@ class TestValidation:
         path.write_text("{not json")
         assert run(str(path), quiet=True) == 2
 
+    def test_oversized_probe_exits_2_without_report(self, tmp_path):
+        cfg = {
+            "scenario": "dqs",
+            "dqs": {"family": "MSPS", "sensors": 8, "particles_per_sensor": 8},
+            "nu": [[0.125] * 8],
+        }
+        report_path = tmp_path / "report.json"
+        code = run(write_config(tmp_path, "big.json", cfg), out=str(report_path), quiet=True)
+        assert code == 2
+        assert not report_path.exists()
+
 
 class TestDqsScenario:
     def test_all_to_nothing_probe_reports_expected_bound(self, tmp_path):
@@ -86,6 +98,33 @@ class TestDqsScenario:
         assert run(path, strict=True, quiet=True) == 3
         report = load_report(tmp_path / "r.json")
         assert report["error"]["type"] == "NumericalError"
+
+    def test_one_probe_serves_every_direction(self, tmp_path, monkeypatch):
+        import qsense.dqs as dqs
+
+        built = []
+        original = dqs.build_probe
+
+        def counting_build(spec):
+            built.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(dqs, "build_probe", counting_build)
+        monkeypatch.setattr(cli_module, "build_probe", counting_build)
+        nus = [[1 / 3] * 3, [1.0, 0.0, 0.0], [-1 / 3] * 3]
+        cfg = {
+            "scenario": "dqs",
+            "dqs": {"family": "MEPE", "sensors": 3, "particles_per_sensor": 2},
+            "nu": nus,
+            "m": 2,
+            "output": {"report": str(tmp_path / "r.json")},
+        }
+        assert run(write_config(tmp_path, "mepe.json", cfg), quiet=True) == 0
+        assert len(built) == 1
+        results = load_report(tmp_path / "r.json")["results"]
+        assert results["inestimable"] == [False, True, False]
+        for nu, qcrb in zip(nus, results["qcrb"]):
+            assert qcrb == dqs.verify_probe(built[0], np.array(nu), 2).qfim_value
 
     def test_global_reference_scenario(self, tmp_path):
         cfg = {

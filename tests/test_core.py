@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsense.core import (
     COMPLEX_EQ_ATOL,
@@ -19,6 +21,7 @@ from qsense.core import (
     check_density_matrices,
     density_from_pure,
     diagonal_operator,
+    fock_sector,
     identity,
     projective_measurement,
     spanned_sector,
@@ -180,7 +183,7 @@ class TestPhaseEncoding:
         basis = FockBasis(4, 2)
         amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         amps /= np.linalg.norm(amps)
-        state = SparseMultimodeState(basis, dict(zip(basis.occupations, amps)))
+        state = SparseMultimodeState(basis, dict(zip(fock_sector(4, 2), amps)))
         gens = [lambda n: n[0], lambda n: 0.5 * (n[1] - n[2])]
         for _ in range(5):
             out = apply_phase_encoding(state, gens, rng.normal(size=2))
@@ -197,7 +200,7 @@ class TestDensityFromPure:
     def test_basis_state_on_explicit_sector(self):
         basis = FockBasis(2, 1)
         state = SparseMultimodeState(basis, {(0, 1): 1.0})
-        rho = density_from_pure(state, sector=basis.occupations)
+        rho = density_from_pure(state, sector=fock_sector(2, 1))
         assert np.allclose(rho.entries, np.diag([1.0, 0.0]))
 
     def test_two_term_state_is_rank_one(self):
@@ -212,7 +215,7 @@ class TestDensityFromPure:
         for _ in range(5):
             amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
             amps /= np.linalg.norm(amps)
-            state = SparseMultimodeState(basis, dict(zip(basis.occupations, amps)))
+            state = SparseMultimodeState(basis, dict(zip(fock_sector(3, 3), amps)))
             assert abs(density_from_pure(state).purity() - 1.0) < 1e-12
 
     def test_sector_and_vector_helpers(self):
@@ -225,23 +228,80 @@ class TestDensityFromPure:
         assert np.allclose(np.diag(op.entries).real, [-1.0, 1.0])
 
 
+def occupations_near(modes, total):
+    """Tuples of length modes +- 1, entries in [-1, total + 1]: in and out of the sector."""
+    entries = st.integers(-1, total + 1)
+    return st.lists(entries, min_size=max(modes - 1, 0), max_size=modes + 1).map(tuple)
+
+
+SECTORS = dict(modes=st.integers(1, 5), total=st.integers(0, 6))
+FOCK_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
 class TestFockBasis:
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("total", [0, 1, 2, 3, 5, 8])
     def test_enumeration_count(self, modes, total):
-        basis = FockBasis(modes, total)
-        assert basis.size == math.comb(total + modes - 1, modes - 1)
+        count = sum(1 for _ in fock_sector(modes, total))
+        assert count == FockBasis(modes, total).size
 
     def test_lexicographic_and_distinct(self):
-        basis = FockBasis(3, 4)
-        occ = basis.occupations
+        occ = tuple(fock_sector(3, 4))
         assert len(set(occ)) == len(occ)
         assert list(occ) == sorted(occ)
         assert all(sum(n) == 4 for n in occ)
+        brute = [n for n in itertools.product(range(5), repeat=3) if sum(n) == 4]
+        assert list(occ) == brute
 
-    def test_index_lookup(self):
-        basis = FockBasis(2, 3)
-        for i, n in enumerate(basis.occupations):
-            assert basis.index(n) == i
-        with pytest.raises(ValidationError):
-            basis.index((4, 0))
+    def test_basis_stores_no_tuples(self):
+        basis = FockBasis(12, 40)
+        assert basis.size == math.comb(51, 11)
+        assert not hasattr(basis, "occupations")
+        assert (40,) + (0,) * 11 in basis
+
+    @FOCK_SETTINGS
+    @given(data=st.data(), **SECTORS)
+    def test_membership_matches_enumeration(self, data, modes, total):
+        basis = FockBasis(modes, total)
+        sector = set(fock_sector(modes, total))
+        occ = data.draw(occupations_near(modes, total))
+        assert (occ in basis) == (occ in sector)
+
+    @FOCK_SETTINGS
+    @given(**SECTORS)
+    def test_size_equals_enumeration_count(self, modes, total):
+        assert FockBasis(modes, total).size == sum(1 for _ in fock_sector(modes, total))
+
+    @FOCK_SETTINGS
+    @given(data=st.data(), **SECTORS)
+    def test_spanned_sector_follows_enumeration_order(self, data, modes, total):
+        basis = FockBasis(modes, total)
+        ordered = list(fock_sector(modes, total))
+        chosen = data.draw(st.lists(st.sampled_from(ordered), min_size=1, unique=True))
+        amp = 1.0 / math.sqrt(len(chosen))
+        state = SparseMultimodeState(basis, {n: amp for n in chosen})
+        assert list(spanned_sector(state)) == [n for n in ordered if n in set(chosen)]
+
+    @FOCK_SETTINGS
+    @given(
+        data=st.data(),
+        defect=st.sampled_from(["long", "short", "negative", "sum"]),
+        modes=st.integers(2, 5),
+        total=st.integers(0, 6),
+    )
+    def test_foreign_occupations_rejected(self, data, defect, modes, total):
+        basis = FockBasis(modes, total)
+        occ = list(data.draw(st.sampled_from(list(fock_sector(modes, total)))))
+        i = data.draw(st.integers(0, modes - 1))
+        if defect == "long":  # one mode too many, same particle number
+            occ.insert(i, 0)
+        elif defect == "short":  # one mode too few, same particle number
+            moved = occ.pop(i)
+            occ[0] += moved
+        elif defect == "negative":  # right length and sum, one entry below zero
+            occ[(i + 1) % modes] += occ[i] + 1
+            occ[i] = -1
+        else:  # right length, entries >= 0, one particle too many
+            occ[i] += 1
+        with pytest.raises(ValidationError, match="does not belong"):
+            SparseMultimodeState(basis, {tuple(occ): 1.0})

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qsense.core import ValidationError, density_from_pure, diagonal_operator, spanned_sector
+import qsense.core
+import qsense.dqs
+from qsense.core import (
+    DENSE_DIMENSION_CAP,
+    PROBE_SUPPORT_CAP,
+    ValidationError,
+    density_from_pure,
+    diagonal_operator,
+    spanned_sector,
+)
 from qsense.bounds import qfim
 from qsense.dqs import (
     ProbeSpec,
@@ -91,6 +100,27 @@ class TestBuildProbe:
         assert dict(rebuilt.amplitudes) == dict(probe.amplitudes)
 
 
+class TestSupportSize:
+    @pytest.mark.parametrize("family", ["MSPS", "MSPE", "MEPS", "MEPE", "GENERALIZED_NOON"])
+    @pytest.mark.parametrize("d,n", [(1, 1), (2, 2), (3, 1), (2, 3)])
+    def test_estimate_counts_the_built_amplitudes(self, family, d, n):
+        probe_spec = spec(family, d, n)
+        assert probe_spec.support_size == len(build_probe(probe_spec).amplitudes)
+
+    @pytest.mark.parametrize("family,d,n", [("MSPS", 8, 8), ("MEPS", 8, 8), ("MEPS", 5, 4)])
+    def test_oversized_probe_rejected_by_its_spec(self, family, d, n):
+        with pytest.raises(ValidationError, match="probe support cap"):
+            spec(family, d, n)
+
+    def test_cap_admits_the_whole_d4_n4_meps_sector(self):
+        assert spec("MEPS", 4, 4).support_size == math.comb(23, 7) <= PROBE_SUPPORT_CAP
+
+    def test_sensor_count_capped_by_the_dense_information_matrix(self):
+        for sensors in (0, DENSE_DIMENSION_CAP + 1):
+            with pytest.raises(ValidationError, match="sensor count"):
+                spec("MEPE", sensors, 1)
+
+
 class TestClosedForms:
     def test_shot_noise_limit(self):
         assert abs(closed_form_sensitivity(spec("MSPS", 2, 2), nu_average(2)) - 0.25) < 1e-15
@@ -169,6 +199,36 @@ class TestVerifyProbe:
     def test_shot_noise_families(self, family):
         check = verify_probe(spec(family, 2, 2), nu_average(2))
         assert check.relative_deviation <= 1e-9
+
+
+class TestLargeNetworks:
+    """Probes whose full Fock sector once had to be listed before any amplitude."""
+
+    @pytest.mark.parametrize("family,d,n", [("MEPE", 6, 4), ("MEPE", 8, 8), ("MSPE", 8, 8)])
+    def test_matches_closed_form(self, family, d, n):
+        check = verify_probe(spec(family, d, n), nu_average(d))
+        assert not check.inestimable
+        assert check.relative_deviation <= 1e-9
+
+    @pytest.mark.parametrize("family,d,n", [
+        ("MEPE", 8, 8), ("MSPE", 8, 8), ("MSPS", 4, 4), ("GENERALIZED_NOON", 8, 8),
+    ])
+    def test_sparse_families_never_enumerate_a_sector(self, family, d, n, monkeypatch):
+        def no_enumeration(modes, total):
+            raise AssertionError(f"enumerated the ({modes}, {total}) sector")
+
+        monkeypatch.setattr(qsense.core, "fock_sector", no_enumeration)
+        monkeypatch.setattr(qsense.dqs, "fock_sector", no_enumeration)
+        nu = None if family == "GENERALIZED_NOON" else nu_average(d)
+        assert verify_probe(spec(family, d, n), nu).relative_deviation <= 1e-9
+
+    def test_meps_enumerates_its_sector(self, monkeypatch):
+        def no_enumeration(modes, total):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(qsense.dqs, "fock_sector", no_enumeration)
+        with pytest.raises(AssertionError, match="enumerated"):
+            build_probe(spec("MEPS", 2, 1))
 
 
 class TestStructuralProperties:

@@ -595,8 +595,106 @@ DEFICIENT_DRAWS = {
 }
 
 
-def deficient_draw(name):
-    draw = DEFICIENT_DRAWS[name]
+# The ninth draw, shape (n, d, rank, W) = (6, 2, 6, identity), of a `holevo_solve`
+# benchmark cycle drawn from numpy's default_rng(0).  Its last barrier stage
+# (t ~ 1e9) reached a point where f carries no more digits: Armijo tests passed
+# with f_new == f_now and the stage spent its whole inner budget, 131 Newton
+# steps in all, for HB = 2.5542544350270115.
+STALL_DRAW = {
+    "rho_re": [
+        [0.2713563564551166, -0.06475370036631198, 0.01981273704974581,
+         0.020797580736320213, 0.019312687232407387, 0.0566422524986111],
+        [-0.06475370036631198, 0.16443532956188442, -0.025592847459845733,
+         0.06304311562860401, -0.011721191974249905, -0.0513023968853236],
+        [0.01981273704974581, -0.025592847459845733, 0.1387002308475193,
+         -0.03160447000557197, -0.02189393228865546, 0.03532498706399131],
+        [0.020797580736320213, 0.06304311562860401, -0.03160447000557197,
+         0.1551614347262214, -0.012049826744691764, 0.02573985828295271],
+        [0.019312687232407387, -0.011721191974249905, -0.02189393228865546,
+         -0.012049826744691764, 0.14088099461235085, 0.009783008370659261],
+        [0.0566422524986111, -0.0513023968853236, 0.03532498706399131,
+         0.02573985828295271, 0.009783008370659261, 0.12946565379690742],
+    ],
+    "rho_im": [
+        [0.0, 0.07984829608880956, 0.01740260370855919,
+         0.060821994570963045, -0.013561093367252334, 0.010833165101065412],
+        [-0.07984829608880956, 0.0, -0.010885552300467307,
+         0.03190216499656539, -0.046004039445517, -0.026791399874716085],
+        [-0.01740260370855919, 0.010885552300467307, 0.0,
+         0.049862588347934375, -0.029696990551305827, 0.00399397995557651],
+        [-0.060821994570963045, -0.03190216499656539, -0.049862588347934375,
+         0.0, 0.007561472693206025, 0.008046341938663569],
+        [0.013561093367252334, 0.046004039445517, 0.029696990551305827,
+         -0.007561472693206025, 0.0, 0.01437586013324797],
+        [-0.010833165101065412, 0.026791399874716085, -0.00399397995557651,
+         -0.008046341938663569, -0.01437586013324797, 0.0],
+    ],
+    "gens_re": [
+        [
+            [0.8075824483114157, -0.053290684159640056, -0.07143805545081308,
+             0.047430475805259505, 0.13183375247699572, -0.2213770226910978],
+            [-0.053290684159640056, 0.6514427935857876, 0.6674662631855363,
+             -0.04968955957889633, -0.029020977401025536, -0.3540907100444156],
+            [-0.07143805545081308, 0.6674662631855363, 0.34785674477693274,
+             0.1342100553712681, 0.03782916209741623, -0.0058653490887103235],
+            [0.047430475805259505, -0.04968955957889633, 0.1342100553712681,
+             0.31923765171074314, 0.26867421278622194, -0.5580581513864675],
+            [0.13183375247699572, -0.029020977401025536, 0.03782916209741623,
+             0.26867421278622194, 0.25742496764676176, -0.6389098081051703],
+            [-0.2213770226910978, -0.3540907100444156, -0.0058653490887103235,
+             -0.5580581513864675, -0.6389098081051703, 0.43334884613688474],
+        ],
+        [
+            [-0.6012085695094168, -0.2478544281870599, 0.16671323772712726,
+             -0.014813786074085086, -0.32920831085545094, -0.09541850389435982],
+            [-0.2478544281870599, -0.5105553035742154, 0.06895795829834876,
+             0.11777637343879778, -0.3965884664374699, 0.31538139879307553],
+            [0.16671323772712726, 0.06895795829834876, 0.05037882332683512,
+             0.20961980663727703, -0.24487006557832314, 0.04002682892571219],
+            [-0.014813786074085086, 0.11777637343879778, 0.20961980663727703,
+             -0.34283113860514897, 0.02076437138753835, -0.02473968119993372],
+            [-0.32920831085545094, -0.3965884664374699, -0.24487006557832314,
+             0.02076437138753835, 0.07275178595104867, 0.46130621641669384],
+            [-0.09541850389435982, 0.31538139879307553, 0.04002682892571219,
+             -0.02473968119993372, 0.46130621641669384, -0.17548297091024326],
+        ],
+    ],
+    "gens_im": [
+        [
+            [0.0, -0.2454115131404668, 0.370299827605082,
+             -0.16982754109273934, -0.6014723101647254, -0.13722122827404273],
+            [0.2454115131404668, 0.0, 0.07540321369577156,
+             -0.0026528081434846152, 0.4014029360289203, 0.1301288361651235],
+            [-0.370299827605082, -0.07540321369577156, 0.0,
+             -0.04876396739771257, -0.13218025140520231, -0.36031155510215734],
+            [0.16982754109273934, 0.0026528081434846152, 0.04876396739771257,
+             0.0, -0.03494701579534564, 0.4437776359818697],
+            [0.6014723101647254, -0.4014029360289203, 0.13218025140520231,
+             0.03494701579534564, 0.0, -0.06245120887327542],
+            [0.13722122827404273, -0.1301288361651235, 0.36031155510215734,
+             -0.4437776359818697, 0.06245120887327542, 0.0],
+        ],
+        [
+            [0.0, -0.3554443968036906, 0.21784879215881678,
+             0.08817535584206516, 0.025904794985431787, -0.3441200900996102],
+            [0.3554443968036906, 0.0, 0.19316980234807551,
+             0.23263832342226756, 0.19097230791412437, 0.10948995870313581],
+            [-0.21784879215881678, -0.19316980234807551, 0.0,
+             0.35018812421624246, -0.16257672831806472, 0.1905331472091814],
+            [-0.08817535584206516, -0.23263832342226756, -0.35018812421624246,
+             0.0, 0.7342335763264229, -0.5740207788516304],
+            [-0.025904794985431787, -0.19097230791412437, 0.16257672831806472,
+             -0.7342335763264229, 0.0, 0.5891707715599918],
+            [0.3441200900996102, -0.10948995870313581, -0.1905331472091814,
+             0.5740207788516304, -0.5891707715599918, 0.0],
+        ],
+    ],
+    "theta": [-0.30225942905706216, 0.09863016951473624],
+    "weight": [[1.0, 0.0], [0.0, 1.0]],
+}
+
+
+def frozen_draw(draw):
     rho = DensityMatrix(np.array(draw["rho_re"]) + 1j * np.array(draw["rho_im"]))
     gens = [HermitianOperator(np.array(re) + 1j * np.array(im))
             for re, im in zip(draw["gens_re"], draw["gens_im"])]
@@ -621,12 +719,22 @@ def qcrb_and_h_x0(model, theta, w_mat):
 class TestRankDeficientWeight:
     @pytest.mark.parametrize("name", sorted(DEFICIENT_DRAWS))
     def test_hb_inside_bracket(self, name):
-        model, theta, w_mat = deficient_draw(name)
+        model, theta, w_mat = frozen_draw(DEFICIENT_DRAWS[name])
         qcrb, h_x0 = qcrb_and_h_x0(model, theta, w_mat)
         sol = holevo_bound(model, theta, WeightMatrix(w_mat))
         assert qcrb * (1 - 1e-6) <= sol.value <= h_x0 * (1 + 1e-6)
         assert abs(sol.h_x0 - h_x0) <= 1e-9 * h_x0
         assert sol.residuals["v_minus_z_min_eig"] >= -1e-12
+
+
+class TestLastStageStall:
+    def test_flat_stage_ends_without_spending_its_budget(self):
+        model, theta, w_mat = frozen_draw(STALL_DRAW)
+        qcrb, h_x0 = qcrb_and_h_x0(model, theta, w_mat)
+        sol = holevo_bound(model, theta, WeightMatrix(w_mat))
+        assert sol.iterations <= 60
+        assert abs(sol.value - 2.5542544350270115) <= 1e-9 * sol.value
+        assert qcrb * (1 - 1e-6) <= sol.value <= h_x0 * (1 + 1e-6)
 
 
 class TestSchurBarrier:
