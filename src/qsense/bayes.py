@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import NumericalError, POVM, ValidationError
 from .bounds import classical_fim, pseudo_inverse
@@ -24,6 +23,12 @@ from .estimation import LOG_FLOOR, _log_table, _loglik_nodes, parameter_axes, tr
 
 DEFAULT_RESOLUTION = {1: 2001, 2: 301, 3: 61}
 MASS_FLOOR = 1e-300
+
+
+def _logsumexp(lw: np.ndarray) -> float:
+    """log sum exp(lw), shifted by the largest entry; -inf when every entry is -inf."""
+    top = float(lw.max())
+    return top if np.isinf(top) else top + float(np.log(np.exp(lw - top).sum()))
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,7 @@ class PosteriorGrid:
         lw = np.asarray(self.log_weights, dtype=float)
         if lw.shape != tuple(len(ax) for ax in axes):
             raise ValidationError("log-weight tensor does not match the grid axes")
-        total = float(np.exp(logsumexp(lw)))
+        total = float(np.exp(_logsumexp(lw)))
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"posterior mass {total} deviates from 1")
         for ax in axes:
@@ -117,7 +122,7 @@ def bayes_update(
 
 def _normalised(axes, lw: np.ndarray, log_mass_floor: float) -> PosteriorGrid:
     """Posterior from unnormalised log-weights; refuses a mass below the floor."""
-    log_mass = float(logsumexp(lw))
+    log_mass = _logsumexp(lw)
     if not np.isfinite(log_mass) or log_mass < log_mass_floor:
         raise NumericalError(
             "posterior mass vanished: the observed outcome is impossible on the prior support"

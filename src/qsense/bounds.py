@@ -114,19 +114,27 @@ def classical_fim(
     return FisherMatrix(f, "classical-FIM", excluded_probability=excluded)
 
 
+def _slds(rho: DensityMatrix, drhos: Sequence[HermitianOperator]):
+    """SLDs of rho along each drho, the eigenvalues of rho and the SLDs in its eigenbasis.
+
+    There L_ab = 2 d_ab / (lambda_a + lambda_b), zeroed where the sum is below
+    RANK_REL_TOL * lambda_max (the kernel block).
+    """
+    lam, u = np.linalg.eigh(rho.entries)
+    denom = lam[:, None] + lam[None, :]
+    d_eig = u.conj().T @ np.stack([d.entries for d in drhos]) @ u
+    l_eig = np.zeros_like(d_eig)
+    np.divide(2.0 * d_eig, denom, out=l_eig, where=denom > RANK_REL_TOL * float(lam.max()))
+    l_mat = u @ l_eig @ u.conj().T
+    slds = tuple(HermitianOperator(0.5 * (m + m.conj().T)) for m in l_mat)
+    return slds, lam, l_eig
+
+
 def sld(rho: DensityMatrix, drho: HermitianOperator) -> HermitianOperator:
     """Symmetric logarithmic derivative of rho along drho (kernel block zeroed)."""
     if rho.dim != drho.dim:
         raise ValidationError("state and derivative dimensions differ")
-    lam, u = np.linalg.eigh(rho.entries)
-    eps = RANK_REL_TOL * float(lam.max())
-    d_eig = u.conj().T @ drho.entries @ u
-    denom = lam[:, None] + lam[None, :]
-    l_eig = np.zeros_like(d_eig)
-    mask = denom > eps
-    np.divide(2.0 * d_eig, denom, out=l_eig, where=mask)
-    l_mat = u @ l_eig @ u.conj().T
-    return HermitianOperator(0.5 * (l_mat + l_mat.conj().T))
+    return _slds(rho, [drho])[0][0]
 
 
 def _incompatibility_ratio(fisher: FisherMatrix, g: np.ndarray) -> float:
@@ -148,28 +156,13 @@ def _incompatibility_ratio(fisher: FisherMatrix, g: np.ndarray) -> float:
 def qfim(model: ParametricModel, theta) -> QfimResult:
     """QFIM, SLDs, curvature matrix and incompatibility ratio of a model at theta."""
     rho = model.evaluate(np.atleast_1d(np.asarray(theta, dtype=float)))
-    derivs = state_derivatives(model, theta)
-    d = model.parameter_count
-
-    lam, u = np.linalg.eigh(rho.entries)
-    eps = RANK_REL_TOL * float(lam.max())
-    denom = lam[:, None] + lam[None, :]
-    mask = denom > eps
-    slds_eig = []
-    for drho in derivs:
-        d_eig = u.conj().T @ drho.entries @ u
-        l_eig = np.zeros_like(d_eig)
-        np.divide(2.0 * d_eig, denom, out=l_eig, where=mask)
-        slds_eig.append(l_eig)
+    slds, lam, slds_eig = _slds(rho, state_derivatives(model, theta))
 
     # Tr[rho L_i L_j] evaluated in the eigenbasis of rho
-    t = np.einsum("a,iab,jba->ij", lam, np.stack(slds_eig), np.stack(slds_eig))
+    t = np.einsum("a,iab,jba->ij", lam, slds_eig, slds_eig)
     f = 0.5 * (t.real + t.real.T)
     g = 0.5 * (t.imag - t.imag.T)
     fisher = FisherMatrix(f, "QFIM")
-    slds = tuple(
-        HermitianOperator(0.5 * ((m := u @ le @ u.conj().T) + m.conj().T)) for le in slds_eig
-    )
     return QfimResult(fisher, slds, g, _incompatibility_ratio(fisher, g))
 
 

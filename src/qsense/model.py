@@ -1,14 +1,19 @@
 """Parametric density-matrix families theta -> rho_theta and outcome probabilities.
 
 A model carries an evaluation map plus one of three derivative strategies:
-exact derivatives of a unitary family (via the Frechet derivative of the
-matrix exponential), user-supplied derivative callbacks, or Richardson-refined
-central finite differences.
+exact derivatives of a unitary family, user-supplied derivative callbacks, or
+Richardson-refined central finite differences.
+
+A unitary family takes everything from the eigendecomposition
+sum_j theta_j H_j = V Lambda V^dag: U = V exp(-i Lambda) V^dag, and dU/dtheta_j
+from the Daleckii-Krein divided differences of exp(-i x) in the same eigenbasis
+(Najfeld & Havel, Adv. Appl. Math. 16, 321 (1995); Higham, Functions of
+Matrices, ch. 3).
 
 `probability_table` evaluates a whole parameter grid at once: unitary families
-go through one batched eigendecomposition per block of nodes, other models
-through their `evaluate` map, and both through the same stacked density-matrix
-and probability checks that guard a single node.
+go through one batched eigendecomposition per block of nodes (`evaluate` is the
+one-node block), other models through their `evaluate` map, and both through
+the same stacked density-matrix and probability checks that guard a single node.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
 from .core import (
     DensityMatrix,
@@ -148,16 +152,14 @@ def unitary_family(
     for g in gens:
         if g.dim != dim:
             raise ValidationError("generator dimension does not match the state")
-    stack = np.stack([g.entries for g in gens])
-    rho0 = initial.entries
 
     def evaluate(theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        u = expm(-1j * np.tensordot(theta, stack, axes=1))
-        return DensityMatrix(u @ rho0 @ u.conj().T)
+        return DensityMatrix(_density_block(model, theta[None])[0])
 
     dom = tuple((float(lo), float(hi)) for lo, hi in domain) if domain is not None else None
-    return ParametricModel(len(gens), dim, evaluate, UnitaryEncoding(initial, gens), dom)
+    model = ParametricModel(len(gens), dim, evaluate, UnitaryEncoding(initial, gens), dom)
+    return model
 
 
 def explicit_model(
@@ -190,16 +192,27 @@ def _hermitize(arr: np.ndarray) -> np.ndarray:
     return 0.5 * (arr + arr.conj().T)
 
 
-def _unitary_pieces(strategy: UnitaryEncoding, theta: np.ndarray):
-    """U(theta) and all Frechet derivatives dU/dtheta_j."""
+def _eigen_unitaries(strategy: UnitaryEncoding, points: np.ndarray):
+    """Generators, eigenvalues, eigenvectors and U = V exp(-i Lambda) V^dag at points (..., d)."""
     stack = np.stack([g.entries for g in strategy.generators])
-    a = -1j * np.tensordot(theta, stack, axes=1)
-    u = None
-    dus = []
-    for j in range(len(strategy.generators)):
-        u, du = expm_frechet(a, -1j * stack[j])
-        dus.append(du)
-    return u, dus
+    evals, evecs = spectral_decomposition(np.tensordot(points, stack, axes=1))
+    u = (evecs * np.exp(-1j * evals)[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
+    return stack, evals, evecs, u
+
+
+def _unitary_pieces(strategy: UnitaryEncoding, theta: np.ndarray):
+    """U(theta) and the stack (d, n, n) of dU/dtheta_j, from one eigendecomposition.
+
+    V^dag dU_j V = -i (V^dag H_j V) o Gamma, where
+    Gamma_ab = exp(-i(l_a + l_b)/2) sinc((l_a - l_b)/2pi) is the divided
+    difference (e^{-i l_a} - e^{-i l_b}) / (-i(l_a - l_b)) written without the
+    0/0 that equal eigenvalues (theta = 0, degenerate generators) would give.
+    """
+    stack, lam, v, u = _eigen_unitaries(strategy, theta)
+    vh = v.conj().T
+    gamma = (np.exp(-0.5j * (lam[:, None] + lam[None, :]))
+             * np.sinc((lam[:, None] - lam[None, :]) / (2.0 * np.pi)))
+    return u, v @ (-1j * (vh @ stack @ v) * gamma) @ vh
 
 
 def state_derivatives(model: ParametricModel, theta) -> list[HermitianOperator]:
@@ -298,9 +311,7 @@ def _density_block(model: ParametricModel, nodes: np.ndarray) -> np.ndarray:
     strategy = model.strategy
     if not isinstance(strategy, UnitaryEncoding):
         return np.stack([model.evaluate(th).entries for th in nodes])
-    stack = np.stack([g.entries for g in strategy.generators])
-    evals, evecs = spectral_decomposition(np.tensordot(nodes, stack, axes=1))
-    u = (evecs * np.exp(-1j * evals)[:, None, :]) @ np.swapaxes(evecs, -1, -2).conj()
+    u = _eigen_unitaries(strategy, nodes)[-1]
     return u @ strategy.initial.entries @ np.swapaxes(u, -1, -2).conj()
 
 

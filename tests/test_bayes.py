@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from qsense.core import (
     DensityMatrix,
@@ -13,6 +14,7 @@ from qsense.core import (
 )
 from qsense.bayes import (
     PosteriorGrid,
+    _logsumexp,
     asymptotic_check,
     bayes_covariance,
     bayes_update,
@@ -97,6 +99,22 @@ class TestUpdate:
         prior = uniform_prior([(0.2, 2.0)], 51)
         with pytest.raises(NumericalError, match="impossible"):
             bayes_update(prior, phase_model(), dead, 1)
+
+
+class TestLogSumExp:
+    def test_all_minus_infinity_gives_minus_infinity(self):
+        with np.errstate(all="raise"):
+            assert _logsumexp(np.full((3, 4), -np.inf)) == -np.inf
+
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(3)
+        for shape in [(1,), (7,), (5, 6), (3, 4, 5)]:
+            for scale in [1e-3, 1.0, 50.0, 700.0]:
+                lw = rng.normal(scale=scale, size=shape) + rng.normal(scale=scale)
+                if lw.size > 1:
+                    lw.flat[0] = -np.inf  # a node the data has ruled out
+                ref = float(logsumexp(lw))
+                assert abs(_logsumexp(lw) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 class TestCovariance:

@@ -332,3 +332,14 @@ class TestCommandLine:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["scenario"] == "dqs"
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qsense.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

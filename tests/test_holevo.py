@@ -749,13 +749,13 @@ class TestSchurBarrier:
         m = m0 + g_mat @ c_mat.T
         z = m.conj().T @ m
         v_mat = z.real + (np.linalg.norm(z.imag, 2) + 0.5) * np.eye(q)
-        r_wall, t = 10.0 * np.linalg.norm(v_mat, 2), 3.0
+        t = 3.0
         x0 = np.concatenate([v_mat[np.triu_indices(q)], c_mat.ravel()])
 
         def f(x):
-            return barrier.barrier_value(*barrier.split(x), r_wall, t)
+            return barrier.barrier_value(*barrier.split(x), t)
 
-        grad, hess = barrier.newton_system(v_mat, c_mat, r_wall, t)
+        grad, hess = barrier.newton_system(v_mat, c_mat, t)
         eye = np.eye(len(x0))
         h = 1e-5
         fd_grad = np.array([(f(x0 + h * e) - f(x0 - h * e)) / (2 * h) for e in eye])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm, expm_frechet
 
 from qsense.core import (
     DensityMatrix,
@@ -178,6 +179,45 @@ class TestStateDerivatives:
         gens = encoding_generators(model, [0.0, 0.0])
         assert np.abs(gens[0] - half(PAULI_X).entries).max() < 1e-12
         assert np.abs(gens[1] - half(PAULI_Y).entries).max() < 1e-12
+
+
+class TestEigenbasisPath:
+    """U, dU/dtheta and rho from one eigh, against SciPy's expm and expm_frechet."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(2, 6),
+        d=st.integers(1, 3),
+        kind=st.sampled_from(["random", "integer_diagonal"]),
+        at_origin=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_expm_and_frechet(self, dim, d, kind, at_origin, seed):
+        rng = np.random.default_rng(seed)
+        model = random_unitary_model(rng, dim, d)
+        if kind == "integer_diagonal":
+            # commuting, with repeated eigenvalues, in a shared random basis
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            diagonals = rng.integers(-2, 3, size=(d, dim))
+            model = unitary_family(model.strategy.initial,
+                                   [HermitianOperator((q * h) @ q.conj().T) for h in diagonals])
+        rho = model.strategy.initial.entries
+        gens = [g.entries for g in model.strategy.generators]
+        theta = np.zeros(d) if at_origin else rng.normal(size=d)
+
+        exponent = -1j * sum(t * g for t, g in zip(theta, gens))
+        u = expm(exponent)
+        dus = [expm_frechet(exponent, -1j * g, compute_expm=False) for g in gens]
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+        assert close(model.evaluate(theta).entries, u @ rho @ u.conj().T)
+        derivs = state_derivatives(model, theta)
+        local = encoding_generators(model, theta)
+        for du, drho, h_loc in zip(dus, derivs, local):
+            assert close(drho.entries, du @ rho @ u.conj().T + u @ rho @ du.conj().T)
+            assert close(h_loc, 1j * u.conj().T @ du)
 
 
 class TestProbabilityDerivatives:
