@@ -170,19 +170,6 @@ def gaussian_fit_residual(post: PosteriorGrid) -> float:
     return 0.5 * float(np.abs(g - post.weights.ravel()).sum())
 
 
-def posterior_to_csv(post: PosteriorGrid, path) -> None:
-    """Write the posterior as CSV rows of grid coordinates and weight."""
-    import csv
-
-    d = post.dimensions
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"theta_{j + 1}" for j in range(d)] + ["weight"])
-        weights = post.weights.ravel()
-        for node, w in zip(post.nodes(), weights):
-            writer.writerow([repr(float(x)) for x in node] + [repr(float(w))])
-
-
 @dataclass(frozen=True)
 class AsymptoticReport:
     """Posterior shrinkage compared with the inverse-information prediction."""

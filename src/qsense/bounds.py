@@ -46,11 +46,19 @@ P_FLOOR = 1e-12  # outcomes below this probability are excluded from FIM sums
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """Real symmetric PSD information matrix with its support bookkeeping."""
+    """Real symmetric PSD information matrix with its eigendecomposition and support.
+
+    The support (eigenvalues above ``cutoff`` = RANK_REL_TOL * lambda_max) is
+    decided here, once; inverses, ranks and eigenvectors are read from these fields.
+    """
 
     matrix: np.ndarray
     source: str  # "classical-FIM" or "QFIM"
     excluded_probability: float = 0.0
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
+    cutoff: float = field(init=False, repr=False)
+    support_mask: np.ndarray = field(init=False, repr=False)
     rank: int = field(init=False)
     support: np.ndarray = field(init=False, repr=False)
 
@@ -65,28 +73,42 @@ class FisherMatrix:
         evals, evecs = np.linalg.eigh(arr)
         if evals.min() < -1e-9 * scale:
             raise ValidationError("information matrix is not positive semidefinite")
-        lmax = max(float(evals.max()), 0.0)
-        keep = evals > RANK_REL_TOL * lmax if lmax > 0 else np.zeros_like(evals, dtype=bool)
+        cutoff = RANK_REL_TOL * max(float(evals.max()), 0.0)
+        keep = evals > cutoff
         proj = evecs[:, keep] @ evecs[:, keep].T
-        arr.setflags(write=False)
-        proj.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        for name, value in (("matrix", arr), ("eigenvalues", evals), ("eigenvectors", evecs),
+                            ("support_mask", keep), ("support", proj)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "rank", int(keep.sum()))
-        object.__setattr__(self, "support", proj)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
+def _on_support(fisher: FisherMatrix, fn) -> np.ndarray:
+    """U diag(fn(lambda)) U^T with fn applied on the support and zero on the kernel."""
+    vals = np.zeros_like(fisher.eigenvalues)
+    vals[fisher.support_mask] = fn(fisher.eigenvalues[fisher.support_mask])
+    return (fisher.eigenvectors * vals) @ fisher.eigenvectors.T
+
+
 @dataclass(frozen=True)
 class QfimResult:
-    """QFIM together with the SLDs, the curvature matrix and the ratio R."""
+    """One parameter point: state, derivatives, SLDs, QFIM, curvature matrix and R.
+
+    Callers that need rho or d_j rho at the point read them from here instead
+    of evaluating the model again.
+    """
 
     qfim: FisherMatrix
     slds: tuple[HermitianOperator, ...]
     g_q: np.ndarray
     r_measure: float
+    state: DensityMatrix
+    derivatives: tuple[HermitianOperator, ...]
 
     def __post_init__(self):
         g = np.array(self.g_q, dtype=float)
@@ -138,16 +160,9 @@ def sld(rho: DensityMatrix, drho: HermitianOperator) -> HermitianOperator:
 
 
 def _incompatibility_ratio(fisher: FisherMatrix, g: np.ndarray) -> float:
-    if fisher.dim == 1:
+    if fisher.dim == 1 or fisher.rank == 0:
         return 0.0
-    lam, u = np.linalg.eigh(fisher.matrix)
-    lmax = max(float(lam.max()), 0.0)
-    if lmax <= 0.0:
-        return 0.0
-    mask = lam > RANK_REL_TOL * lmax
-    inv_sqrt = np.zeros_like(lam)
-    inv_sqrt[mask] = 1.0 / np.sqrt(lam[mask])
-    s = (u * inv_sqrt) @ u.T
+    s = _on_support(fisher, lambda lam: 1.0 / np.sqrt(lam))
     herm = 1j * s @ g @ s  # Hermitian: G is real antisymmetric
     r = float(np.abs(np.linalg.eigvalsh(herm)).max())
     return min(max(r, 0.0), 1.0)
@@ -156,14 +171,15 @@ def _incompatibility_ratio(fisher: FisherMatrix, g: np.ndarray) -> float:
 def qfim(model: ParametricModel, theta) -> QfimResult:
     """QFIM, SLDs, curvature matrix and incompatibility ratio of a model at theta."""
     rho = model.evaluate(np.atleast_1d(np.asarray(theta, dtype=float)))
-    slds, lam, slds_eig = _slds(rho, state_derivatives(model, theta))
+    derivs = tuple(state_derivatives(model, theta))
+    slds, lam, slds_eig = _slds(rho, derivs)
 
     # Tr[rho L_i L_j] evaluated in the eigenbasis of rho
     t = np.einsum("a,iab,jba->ij", lam, slds_eig, slds_eig)
     f = 0.5 * (t.real + t.real.T)
     g = 0.5 * (t.imag - t.imag.T)
     fisher = FisherMatrix(f, "QFIM")
-    return QfimResult(fisher, slds, g, _incompatibility_ratio(fisher, g))
+    return QfimResult(fisher, slds, g, _incompatibility_ratio(fisher, g), rho, derivs)
 
 
 def qfim_pure(
@@ -189,30 +205,11 @@ def qfim_pure(
     return FisherMatrix(0.5 * (f + f.T), "QFIM")
 
 
-def qfim_pure_dense(psi, generators) -> FisherMatrix:
-    """QFIM of a dense pure state vector for arbitrary Hermitian generators."""
-    v = np.asarray(psi, dtype=complex)
-    v = v / np.linalg.norm(v)
-    mats = [g.entries if isinstance(g, HermitianOperator) else np.asarray(g) for g in generators]
-    mean = np.array([np.real(v.conj() @ m @ v) for m in mats])
-    d = len(mats)
-    second = np.empty((d, d))
-    for i in range(d):
-        wi = mats[i] @ v
-        for j in range(i, d):
-            second[i, j] = second[j, i] = float(np.real(wi.conj() @ (mats[j] @ v)))
-    f = 4.0 * (second - np.outer(mean, mean))
-    return FisherMatrix(0.5 * (f + f.T), "QFIM")
-
-
 def pseudo_inverse(fisher: FisherMatrix) -> FisherMatrix:
-    """Moore-Penrose inverse on the support (same eigenvalue cut as FisherMatrix)."""
-    lam, u = np.linalg.eigh(fisher.matrix)
-    lmax = max(float(lam.max()), 0.0)
-    if lmax == 0.0:
+    """Moore-Penrose inverse on the support decided by FisherMatrix."""
+    if fisher.rank == 0:
         return FisherMatrix(np.zeros_like(fisher.matrix), fisher.source)
-    inv = np.where(lam > RANK_REL_TOL * lmax, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-    out = (u * inv) @ u.T
+    out = _on_support(fisher, np.reciprocal)
     return FisherMatrix(0.5 * (out + out.T), fisher.source)
 
 
@@ -264,68 +261,10 @@ def weak_qcrb(nu, fisher: FisherMatrix, m: int = 1) -> WeakBound:
         raise ValidationError("direction vector must be nonzero")
     den = float(v @ fisher.matrix @ v)
     exact = float(v @ pseudo_inverse(fisher).matrix @ v) / m
-    lmax = max(float(np.linalg.eigvalsh(fisher.matrix).max()), 0.0)
-    if den <= RANK_REL_TOL * lmax * nsq:
+    if den <= fisher.cutoff * nsq:
         return WeakBound(math.inf, exact, math.inf)
     value = nsq * nsq / (m * den)
     return WeakBound(value, exact, exact - value)
-
-
-@dataclass(frozen=True)
-class WeightAnalysis:
-    trace_bound: float          # sum_j w_j nu_j^T F^+ nu_j / m
-    weak_bound: float           # sum of the inverse-free terms
-    harmonic_bound: float       # d^2 [sum_j m nu^T F nu/(w (nu.nu)^2)]^-1
-    lambda_fit: float           # least-squares lambda in W ~ lambda F
-    w_opt_residual: float       # max-abs of W - lambda_fit * F
-    optimal_trace_bound: float  # Tr[(lambda_fit F) F^+]/m, = lambda d/m at equality
-    weight: WeightMatrix
-
-
-def weight_matrix_analysis(
-    fisher: FisherMatrix, weighted_directions, m: int = 1
-) -> WeightAnalysis:
-    """Bounds for a weighted set of directions, with the full-rank harmonic bound.
-
-    The harmonic bound is the arithmetic-harmonic-mean relaxation of the weak
-    bound terms; it meets the trace bound exactly when W is proportional to the
-    information matrix.
-    """
-    pairs = [(float(w), np.asarray(nu, dtype=float)) for w, nu in weighted_directions]
-    if not pairs:
-        raise ValidationError("need at least one weighted direction")
-    for w, nu in pairs:
-        if w <= 0:
-            raise ValidationError("weights must be positive")
-        if float(nu @ nu) == 0.0:
-            raise ValidationError("direction vectors must be nonzero")
-    weight = WeightMatrix.from_directions(pairs)
-    if not weight.positive_definite:
-        raise ValidationError(
-            "full-rank branch requires a strictly positive-definite weight matrix"
-        )
-    fmat = fisher.matrix
-    fplus = pseudo_inverse(fisher).matrix
-    d = fisher.dim
-
-    trace_bound = sum(w * float(nu @ fplus @ nu) for w, nu in pairs) / m
-    weak_terms = []
-    inv_terms = []
-    for w, nu in pairs:
-        nsq = float(nu @ nu)
-        forward = float(nu @ fmat @ nu)
-        if forward <= 0.0:
-            raise ValidationError("a direction lies in the information kernel")
-        weak_terms.append(w * nsq * nsq / (m * forward))
-        inv_terms.append(m * forward / (w * nsq * nsq))
-    weak_bound = float(sum(weak_terms))
-    harmonic = d * d / float(sum(inv_terms))
-
-    denom = float(np.trace(fmat @ fmat))
-    lam_fit = float(np.trace(weight.entries @ fmat)) / denom if denom > 0 else 0.0
-    resid = float(np.abs(weight.entries - lam_fit * fmat).max())
-    optimal = lam_fit * float(np.trace(fmat @ fplus)) / m
-    return WeightAnalysis(trace_bound, weak_bound, harmonic, lam_fit, resid, optimal, weight)
 
 
 @dataclass(frozen=True)
@@ -339,6 +278,7 @@ class SaturationChecks:
     partial_commutativity_holds: bool
     pure_condition_holds: bool | None
     tolerance: float
+    information: QfimResult  # the QFIM record the checks were computed from
 
 
 def saturation_checks(model: ParametricModel, theta, tol: float = 1e-8) -> SaturationChecks:
@@ -346,8 +286,7 @@ def saturation_checks(model: ParametricModel, theta, tol: float = 1e-8) -> Satur
     result = qfim(model, theta)
     g_max = float(np.abs(result.g_q).max())
 
-    rho = model.evaluate(np.atleast_1d(np.asarray(theta, dtype=float)))
-    lam, u = np.linalg.eigh(rho.entries)
+    lam, u = np.linalg.eigh(result.state.entries)
     keep = lam > RANK_REL_TOL * float(lam.max())
     proj = u[:, keep] @ u[:, keep].conj().T
 
@@ -380,6 +319,7 @@ def saturation_checks(model: ParametricModel, theta, tol: float = 1e-8) -> Satur
         partial_commutativity_holds=bool(pc_max <= tol),
         pure_condition_holds=pure_ok,
         tolerance=tol,
+        information=result,
     )
 
 
@@ -390,7 +330,7 @@ def best_combination(fisher: FisherMatrix) -> tuple[np.ndarray, float]:
     top eigenspaces resolve deterministically to the lowest-index basis
     direction they contain.
     """
-    lam, u = np.linalg.eigh(fisher.matrix)
+    lam, u = fisher.eigenvalues, fisher.eigenvectors
     lmax = float(lam.max())
     if lmax <= 0.0:
         raise ValidationError("information matrix vanishes; no best combination")
@@ -442,11 +382,11 @@ def bound_chain_report(
     """
     from .holevo import holevo_bound  # deferred: holevo imports this module
 
-    result = qfim(model, theta)
     f_cl = classical_fim(model, povm, theta)
     crb = scalar_bound(f_cl, weight, m)
-    qcrb = scalar_bound(result.qfim, weight, m)
     solution = holevo_bound(model, theta, weight)
+    result = solution.information
+    qcrb = scalar_bound(result.qfim, weight, m)
     hb = solution.value / m
 
     # a weight component in the FIM kernel means infinite estimator variance;

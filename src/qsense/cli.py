@@ -1,8 +1,13 @@
 """Scenario-driven command line: parse a JSON config, dispatch, emit a report.
 
-Exit codes: 0 success, 2 config/validation failure (no partial report),
-3 numerical failure during computation (the error is serialised into the
-report when a report path is known).
+Exit codes:
+  0  success;
+  2  config or validation failure (`ConfigError`, or a `ValidationError`
+     raised during computation): the message on stderr, no report;
+  3  numerical failure (`NumericalError`): the error is serialised into the
+     report;
+  4  any other exception, i.e. an internal bug: the error is serialised into
+     the report and the traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from importlib import resources
 
@@ -35,7 +41,6 @@ from .core import (
 from .bounds import (
     best_combination,
     classical_fim,
-    qfim,
     qfim_pure,
     saturation_checks,
     scalar_bound,
@@ -234,7 +239,8 @@ def _run_bounds(cfg: dict, strict: bool) -> tuple[dict, dict]:
     model, theta = build_model(cfg["model"])
     povm = build_povm(cfg["povm"], model.dim)
     m = cfg.get("m", 1)
-    result = qfim(model, theta)
+    checks = saturation_checks(model, theta)
+    result = checks.information
     fim = classical_fim(model, povm, theta)
     results = {
         "fim": fim.matrix,
@@ -257,7 +263,6 @@ def _run_bounds(cfg: dict, strict: bool) -> tuple[dict, dict]:
         results["qcrb_directions"] = [wb.exact for wb in weak]
     direction, value = best_combination(result.qfim)
     results["best_combination"] = {"direction": direction, "information": value}
-    checks = saturation_checks(model, theta)
     results["saturation"] = {
         "g_q_max": checks.g_q_max,
         "partial_commutator_max": checks.partial_commutator_max,
@@ -272,9 +277,9 @@ def _run_holevo(cfg: dict, strict: bool) -> tuple[dict, dict]:
     model, theta = build_model(cfg["model"])
     w = build_weight(cfg["weight"], model.parameter_count)
     m = cfg.get("m", 1)
-    result = qfim(model, theta)
-    qcrb = scalar_bound(result.qfim, w, m, strict=strict)
     solution = holevo_bound(model, theta, w)
+    result = solution.information
+    qcrb = scalar_bound(result.qfim, w, m, strict=strict)
     hb = solution.value / m
     h_x0 = solution.h_x0 / m
     if not qcrb.value * (1.0 - BRACKET_RTOL) <= hb <= h_x0 * (1.0 + BRACKET_RTOL):
@@ -454,15 +459,17 @@ def run(
             results, diagnostics = _run_simulate(cfg, effective_seed, csv_path)
         else:
             results, diagnostics = _run_bayes(cfg, effective_seed, csv_path)
-    except ConfigError as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # numerical failure: serialise and signal exit 3
+    except Exception as exc:  # serialise; 3 for a numerical failure, 4 for a bug
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["timing_seconds"] = time.perf_counter() - started
         _emit_report(report, report_path)
+        if not isinstance(exc, NumericalError):
+            traceback.print_exc(file=sys.stderr)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NumericalError) else 4
 
     report["results"] = _jsonable(results)
     report["diagnostics"] = _jsonable(diagnostics)

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -311,45 +311,9 @@ def spectral_decomposition(h) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def apply_phase_encoding(
-    state: SparseMultimodeState,
-    generators: Sequence[Callable[[tuple[int, ...]], float]],
-    theta,
-) -> SparseMultimodeState:
-    """Apply prod_j exp(-i theta_j H_j) for generators diagonal in the Fock basis.
-
-    Each generator is a function of the occupation tuple; amplitudes pick up
-    the phase exp(-i sum_j theta_j h_j(n)).  No global-phase re-gauging.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if len(theta) != len(generators):
-        raise ValidationError(
-            f"generator count mismatch: {len(generators)} generators, {len(theta)} parameters"
-        )
-    new_amps = {}
-    for occ, amp in state.amplitudes.items():
-        phase = sum(t * g(occ) for t, g in zip(theta, generators))
-        new_amps[occ] = amp * np.exp(-1j * phase)
-    return SparseMultimodeState(state.basis, new_amps)
-
-
 def spanned_sector(state: SparseMultimodeState) -> tuple[tuple[int, ...], ...]:
     """Occupations with nonzero amplitude, in basis (lexicographic) order."""
     return tuple(sorted(n for n, a in state.amplitudes.items() if abs(a) > 0.0))
-
-
-def state_vector(state: SparseMultimodeState, sector=None) -> np.ndarray:
-    """Dense amplitude vector of the state on the given (default: spanned) sector."""
-    sector = spanned_sector(state) if sector is None else tuple(tuple(n) for n in sector)
-    pos = {n: i for i, n in enumerate(sector)}
-    vec = np.zeros(len(sector), dtype=complex)
-    for occ, amp in state.amplitudes.items():
-        if abs(amp) == 0.0:
-            continue
-        if occ not in pos:
-            raise ValidationError(f"state has amplitude on {occ}, outside the requested sector")
-        vec[pos[occ]] = amp
-    return vec
 
 
 def density_from_pure(
@@ -363,7 +327,14 @@ def density_from_pure(
         raise ValidationError(
             f"sector dimension {len(sector)} exceeds the dense dimension cap ({max_dim})"
         )
-    vec = state_vector(state, sector)
+    pos = {n: i for i, n in enumerate(sector)}
+    vec = np.zeros(len(sector), dtype=complex)
+    for occ, amp in state.amplitudes.items():
+        if abs(amp) == 0.0:
+            continue
+        if occ not in pos:
+            raise ValidationError(f"state has amplitude on {occ}, outside the requested sector")
+        vec[pos[occ]] = amp
     return DensityMatrix(np.outer(vec, vec.conj()))
 
 

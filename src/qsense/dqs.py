@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -234,15 +234,6 @@ def probe_to_json(state: SparseMultimodeState) -> dict[str, list[float]]:
         ",".join(str(k) for k in occ): [amp.real, amp.imag]
         for occ, amp in sorted(state.amplitudes.items())
     }
-
-
-def probe_from_json(payload: dict, basis: FockBasis) -> SparseMultimodeState:
-    """Inverse of probe_to_json on a given Fock basis."""
-    amps = {}
-    for key, (re, im) in payload.items():
-        occ = tuple(int(x) for x in key.split(","))
-        amps[occ] = complex(re, im)
-    return SparseMultimodeState(basis, amps)
 
 
 def gain(nu) -> float:

@@ -46,14 +46,6 @@ class OutcomeRecord:
         object.__setattr__(self, "theta_true", theta)
         object.__setattr__(self, "counts", counts)
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "theta_true": self.theta_true.tolist(),
-            "counts": self.counts.tolist(),
-            "m": int(self.m),
-        }
-
 
 @dataclass(frozen=True)
 class EstimateRecord:
@@ -216,18 +208,6 @@ class SaturationReport:
     pre_asymptotic: bool
     trials: int
     m: int
-
-    def as_dict(self) -> dict:
-        return {
-            "empirical_covariance": self.empirical_covariance.tolist(),
-            "crb_matrix": self.crb_matrix.tolist(),
-            "qcrb_matrix": self.qcrb_matrix.tolist(),
-            "z_scores": self.z_scores.tolist(),
-            "bias": self.bias.tolist(),
-            "pre_asymptotic": self.pre_asymptotic,
-            "trials": self.trials,
-            "m": self.m,
-        }
 
 
 def saturation_report(

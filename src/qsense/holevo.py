@@ -28,7 +28,9 @@ relative margin.
 The solution also carries h(X_0) = Tr[W Re Z[X_0]] + TrAbs[sqrt(W) Im Z[X_0]
 sqrt(W)] at the particular solution X_0 (which equals Tr[W F^-1] +
 TrAbs[sqrt(W) F^-1 G F^-1 sqrt(W)]): an upper bracket of the bound, exact for
-D-invariant models and so for every qubit.
+D-invariant models and so for every qubit.  It also carries the QFIM record
+(state, derivatives, SLDs, QFIM, R) it was built from, so callers read the
+QCRB and R from it instead of evaluating the point again.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .core import (
     ValidationError,
     WeightMatrix,
 )
-from .bounds import pseudo_inverse, qfim
-from .model import ParametricModel, state_derivatives
+from .bounds import QfimResult, pseudo_inverse, qfim, scalar_bound
+from .model import ParametricModel
 
 HOLEVO_DIM_CAP = 16
 GAP_TARGET = 1e-7      # relative duality-gap target of the barrier method
@@ -77,11 +79,12 @@ class UnbiasedFamily:
 
     ``particular`` is one solution of the unbiasedness constraints; adding any
     real combination of the shared ``homogeneous`` operators to a component
-    preserves them.
+    preserves them.  ``information`` is the QFIM record of the point.
     """
 
     particular: tuple[HermitianOperator, ...]
     homogeneous: tuple[HermitianOperator, ...]
+    information: QfimResult
 
 
 def _hermitian_stack(arr: np.ndarray) -> tuple[HermitianOperator, ...]:
@@ -92,9 +95,8 @@ def _hermitian_stack(arr: np.ndarray) -> tuple[HermitianOperator, ...]:
 def unbiased_family(model: ParametricModel, theta) -> UnbiasedFamily:
     """Particular solution theta + F^+ L and the constraint null-space basis."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    rho = model.evaluate(theta)
-    derivs = state_derivatives(model, theta)
     result = qfim(model, theta)
+    rho, derivs = result.state, result.derivatives
     fplus = pseudo_inverse(result.qfim).matrix
     n, d = model.dim, model.parameter_count
 
@@ -122,7 +124,7 @@ def unbiased_family(model: ParametricModel, theta) -> UnbiasedFamily:
     # null-space rank rule: singular values above eps * max(shape) * s_max
     rank = int((sing > sing.max() * np.finfo(float).eps * max(constraints.shape)).sum())
     homogeneous = vh[rank:] @ basis.reshape(n * n, n * n)
-    return UnbiasedFamily(particular, _hermitian_stack(homogeneous.reshape(-1, n, n)))
+    return UnbiasedFamily(particular, _hermitian_stack(homogeneous.reshape(-1, n, n)), result)
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,8 @@ class HolevoSolution:
     """Optimal value, minimiser, the upper bracket h(X_0) and solver diagnostics.
 
     ``residuals["v_minus_z_min_eig"]`` is the smallest eigenvalue of
-    V_opt - Z[X_opt] relative to the spectral norm of V_opt.
+    V_opt - Z[X_opt] relative to the spectral norm of V_opt.  ``information``
+    is the QFIM record of the point the bound was solved at.
     """
 
     value: float
@@ -140,6 +143,7 @@ class HolevoSolution:
     gap: float
     residuals: dict[str, float]
     h_x0: float
+    information: QfimResult
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -250,7 +254,7 @@ def holevo_bound(
         raise ValidationError("weight matrix must be nonzero")
 
     family = unbiased_family(model, theta)
-    rho = model.evaluate(theta)
+    rho = family.information.state
     n = rho.dim
     lam, u = np.linalg.eigh(rho.entries)
     keep = lam > RANK_REL_TOL * float(lam.max())
@@ -369,7 +373,7 @@ def holevo_bound(
     vz_min = float(np.linalg.eigvalsh(_hermitian_part(v_opt - z_final)).min())
     vz_min /= max(float(np.linalg.norm(v_opt, 2)), np.finfo(float).tiny)
 
-    derivs = np.stack([dr.entries for dr in state_derivatives(model, theta)])
+    derivs = np.stack([dr.entries for dr in family.information.derivatives])
     x_stack = np.stack([x.entries for x in x_opt])
     unbias_state = np.abs(np.einsum("ab,iba->i", rho.entries, x_stack).real - theta).max()
     unbias_deriv = np.abs(np.einsum("jab,iba->ij", derivs, x_stack).real - np.eye(d)).max()
@@ -394,6 +398,7 @@ def holevo_bound(
             "unbiasedness_derivative": float(unbias_deriv),
         },
         h_x0=h_x0,
+        information=family.information,
     )
 
 
@@ -410,12 +415,11 @@ class SandwichReport:
 
 def hb_sandwich(model: ParametricModel, theta, weight) -> SandwichReport:
     """Check the incompatibility sandwich between the Holevo bound and the QCRB."""
-    from .bounds import scalar_bound  # local: avoids importing the full chain at load
-
     w = weight if isinstance(weight, WeightMatrix) else WeightMatrix(weight)
-    result = qfim(model, theta)
+    solution = holevo_bound(model, theta, w)
+    result = solution.information
     qcrb = scalar_bound(result.qfim, w, m=1, strict=True).value
-    hb = holevo_bound(model, theta, w).value
+    hb = solution.value
     tol = 1e-5 * qcrb
     upper = (1.0 + result.r_measure) * qcrb
     if hb < qcrb - tol or hb > upper + tol or upper > 2.0 * qcrb + tol:

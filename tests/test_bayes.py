@@ -252,15 +252,3 @@ class TestAsymptoticCheck:
             phase_model(), X_BASIS, [1.0], m=4000, seed=2, box=[(0.2, 2.9)], resolution=201,
         )
         assert np.isfinite(report.covariance).all()
-
-
-class TestHooks:
-    def test_posterior_csv_export(self, tmp_path):
-        from qsense.bayes import posterior_to_csv
-
-        post = uniform_prior([(0.0, 1.0)], 11)
-        path = tmp_path / "posterior.csv"
-        posterior_to_csv(post, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "theta_1,weight"
-        assert len(lines) == 12

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsense.core import (
     DensityMatrix,
@@ -12,6 +13,7 @@ from qsense.core import (
     PAULI_Y,
     PAULI_Z,
     POVM,
+    RANK_REL_TOL,
     SparseMultimodeState,
     ValidationError,
     WeightMatrix,
@@ -24,18 +26,17 @@ from qsense.core import (
 )
 from qsense.bounds import (
     FisherMatrix,
+    _incompatibility_ratio,
     best_combination,
     bound_chain_report,
     classical_fim,
     pseudo_inverse,
     qfim,
     qfim_pure,
-    qfim_pure_dense,
     saturation_checks,
     scalar_bound,
     sld,
     weak_qcrb,
-    weight_matrix_analysis,
 )
 from qsense.model import explicit_model, probabilities, unitary_family
 
@@ -52,6 +53,14 @@ def half(op):
 
 def xy_qubit_model():
     return unitary_family(ZERO, [half(PAULI_X), half(PAULI_Y)])
+
+
+def pure_state_qfim(psi, generators):
+    """Oracle: 4 Cov(H_i, H_j) of a dense pure state, F_ij = 4 Re(<H_i H_j> - <H_i><H_j>)."""
+    v = np.asarray(psi, dtype=complex) / np.linalg.norm(psi)
+    hv = np.stack([g.entries @ v for g in generators])
+    mean = (v.conj() @ hv.T).real
+    return 4.0 * ((hv.conj() @ hv.T).real - np.outer(mean, mean))
 
 
 def sic_povm():
@@ -332,9 +341,9 @@ class TestQfimPure:
 
     def test_dense_variant_matches_sld_route_for_noncommuting(self):
         model = xy_qubit_model()
-        f_dense = qfim_pure_dense(np.array([1.0, 0.0]), [half(PAULI_X), half(PAULI_Y)])
+        f_dense = pure_state_qfim(np.array([1.0, 0.0]), [half(PAULI_X), half(PAULI_Y)])
         f_sld = qfim(model, [0.0, 0.0]).qfim
-        assert np.abs(f_dense.matrix - f_sld.matrix).max() < 1e-10
+        assert np.abs(f_dense - f_sld.matrix).max() < 1e-10
 
 
 class TestPseudoInverse:
@@ -364,6 +373,45 @@ class TestPseudoInverse:
         out = pseudo_inverse(f)
         assert out.rank == 0
         assert np.abs(out.matrix).max() == 0.0
+
+
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def random_psd(rng, spectrum):
+    """Q diag(spectrum) Q^T for a random orthogonal Q, at a random overall scale."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(spectrum), len(spectrum))))
+    return 10.0 ** rng.uniform(-3, 3) * (q * spectrum) @ q.T
+
+
+class TestFisherMatrixSpectrum:
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 6), st.data(), st.integers(0, 2**32 - 1))
+    def test_stored_eigenpairs_rank_and_pseudo_inverse(self, d, data, seed):
+        rank = data.draw(st.integers(0, d))
+        rng = np.random.default_rng(seed)
+        spectrum = np.zeros(d)
+        spectrum[:rank] = rng.uniform(0.1, 10.0, size=rank)
+        f = FisherMatrix(random_psd(rng, spectrum), "QFIM")
+        scale = np.abs(f.matrix).max()
+        rebuilt = (f.eigenvectors * f.eigenvalues) @ f.eigenvectors.T
+        assert np.abs(rebuilt - f.matrix).max() <= 1e-12 * scale
+        assert f.rank == rank == int(f.support_mask.sum())
+        expected = np.linalg.pinv(f.matrix, rcond=RANK_REL_TOL, hermitian=True)
+        plus = pseudo_inverse(f).matrix
+        assert np.abs(plus - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_incompatibility_ratio_is_spectral_radius(self, d, seed, target):
+        # full-rank F and an antisymmetric G scaled so that max|eig(F^-1 G)| = target
+        rng = np.random.default_rng(seed)
+        f = FisherMatrix(random_psd(rng, rng.uniform(0.1, 10.0, size=d)), "QFIM")
+        a = rng.normal(size=(d, d))
+        g = a - a.T
+        g *= target / np.abs(np.linalg.eigvals(np.linalg.solve(f.matrix, g))).max()
+        expected = np.abs(np.linalg.eigvals(np.linalg.solve(f.matrix, g))).max()
+        assert abs(_incompatibility_ratio(f, g) - expected) <= 1e-10 * expected + 1e-15
 
 
 class TestScalarBound:
@@ -426,75 +474,6 @@ class TestWeakBound:
             nu = rng.normal(size=d)
             wb = weak_qcrb(nu, f)
             assert wb.value <= wb.exact + 1e-10
-
-
-class TestWeightMatrixAnalysis:
-    def test_matched_weight_attains_equality(self):
-        f = FisherMatrix(np.diag([1.0, 3.0, 7.0]), "QFIM")
-        lam = 2.5
-        pairs = [(lam * v, np.eye(3)[j]) for j, v in enumerate([1.0, 3.0, 7.0])]
-        out = weight_matrix_analysis(f, pairs, m=1)
-        assert abs(out.trace_bound - lam * 3) < 1e-12
-        assert abs(out.harmonic_bound - out.trace_bound) < 1e-12
-        assert out.w_opt_residual < 1e-12
-        assert abs(out.optimal_trace_bound - lam * 3) < 1e-12
-
-    def test_identity_case(self):
-        f = FisherMatrix(np.eye(3), "QFIM")
-        out = weight_matrix_analysis(f, [(1.0, np.eye(3)[j]) for j in range(3)], m=1)
-        assert abs(out.trace_bound - 3.0) < 1e-12
-        assert abs(out.harmonic_bound - 3.0) < 1e-12
-
-    def test_orientation_pinned_by_axes_example(self):
-        f = FisherMatrix(np.diag([1.0, 4.0]), "QFIM")
-        out = weight_matrix_analysis(f, [(1.0, np.eye(2)[j]) for j in range(2)], m=1)
-        assert abs(out.trace_bound - 1.25) < 1e-12
-        assert abs(out.weak_bound - 1.25) < 1e-12  # axes are eigenvectors
-        assert abs(out.harmonic_bound - 0.8) < 1e-12  # 4 / (1 + 4)
-        assert out.harmonic_bound <= out.weak_bound + 1e-12
-        assert out.weak_bound <= out.trace_bound + 1e-12
-
-    def test_gaussian_likelihood_oracle(self):
-        # brute-force oracle: ML estimation of a two-parameter Gaussian mean
-        # attains C = F^-1/m exactly, so Tr[W C] must dominate the whole chain
-        rng = np.random.default_rng(17)
-        f_mat = np.array([[2.0, 0.7], [0.7, 1.0]])
-        f = FisherMatrix(f_mat, "classical-FIM")
-        m = 40
-        pairs = [(1.3, np.array([1.0, 0.4])), (0.7, np.array([-0.2, 1.0]))]
-        theta = np.array([0.3, -1.1])
-        cov = np.linalg.inv(f_mat) / m
-        draws = rng.multivariate_normal(theta, cov, size=40000)
-        diffs = draws - theta
-        emp = diffs.T @ diffs / len(diffs)
-        w = WeightMatrix.from_directions(pairs).entries
-        emp_figure = float(np.trace(w @ emp))
-        out = weight_matrix_analysis(f, pairs, m=m)
-        slack = 4.0 * np.sqrt(2.0 / len(diffs)) * out.trace_bound
-        assert emp_figure >= out.trace_bound - slack
-        assert out.trace_bound >= out.weak_bound - 1e-12
-        assert out.weak_bound >= out.harmonic_bound - 1e-12
-
-    def test_random_chain_ordering(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            d = int(rng.integers(2, 5))
-            a = rng.normal(size=(d, d))
-            f = FisherMatrix(a @ a.T + 0.2 * np.eye(d), "QFIM")
-            pairs = [
-                (float(rng.uniform(0.2, 2.0)), rng.normal(size=d)) for _ in range(d)
-            ]
-            try:
-                out = weight_matrix_analysis(f, pairs, m=1)
-            except ValidationError:
-                continue  # random directions happened to be rank deficient
-            assert out.harmonic_bound <= out.weak_bound + 1e-10
-            assert out.weak_bound <= out.trace_bound + 1e-10
-
-    def test_singular_weight_rejected(self):
-        f = FisherMatrix(np.eye(2), "QFIM")
-        with pytest.raises(ValidationError, match="positive-definite"):
-            weight_matrix_analysis(f, [(1.0, np.array([1.0, 0.0]))])
 
 
 class TestSaturationChecks:

@@ -67,6 +67,45 @@ class TestValidation:
         assert not report_path.exists()
 
 
+    def test_validation_error_during_computation_exits_2_without_report(self, tmp_path):
+        # passes the schema; the Holevo dimension cap rejects it while computing
+        n = 17
+        diag = [[[float(i) if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+        shift = [[[1.0 if abs(i - j) == 1 else 0.0, 0.0] for j in range(n)] for i in range(n)]
+        cfg = {
+            "scenario": "holevo",
+            "model": {
+                "kind": "unitary",
+                "initial_state": [[1.0, 0.0]] * n,
+                "generators": [{"matrix": diag}, {"matrix": shift}],
+                "theta": [0.1, 0.2],
+            },
+            "weight": {"kind": "identity"},
+        }
+        report_path = tmp_path / "report.json"
+        code = run(write_config(tmp_path, "big.json", cfg), out=str(report_path), quiet=True)
+        assert code == 2
+        assert not report_path.exists()
+
+    def test_internal_error_exits_4_with_report_and_traceback(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def broken(cfg, strict):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli_module, "_run_bounds", broken)
+        cfg = {
+            "scenario": "bounds",
+            "model": QUBIT_MODEL,
+            "povm": {"name": "x_basis"},
+            "output": {"report": str(tmp_path / "bug.json")},
+        }
+        assert run(write_config(tmp_path, "bug.json", cfg), quiet=True) == 4
+        report = load_report(tmp_path / "bug.json")
+        assert report["error"]["type"] == "KeyError"
+        jsonschema.validate(report, _load_schema("report.schema.json"))
+        assert "Traceback" in capsys.readouterr().err
+
+
 class TestDqsScenario:
     def test_all_to_nothing_probe_reports_expected_bound(self, tmp_path):
         cfg = {
@@ -222,6 +261,55 @@ class TestBoundsAndHolevoScenarios:
         report = load_report(tmp_path / "fail.json")
         assert "error" in report and "message" in report["error"]
         jsonschema.validate(report, _load_schema("report.schema.json"))
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` in every qsense module binding it; return the call list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("qsense") \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestOneEvaluationPerPoint:
+    XY_MODEL = {
+        "kind": "unitary",
+        "initial_state": [[0.8, 0.0], [0.6, 0.0]],
+        "generators": [{"pauli": "x", "scale": 0.5}, {"pauli": "y", "scale": 0.5}],
+        "theta": [0.3, -0.2],
+    }
+
+    def test_holevo_scenario_evaluates_state_derivatives_and_qfim_once(
+        self, tmp_path, monkeypatch
+    ):
+        import qsense.bounds as bounds
+        import qsense.model as model
+
+        states = count_calls(monkeypatch, model, "_density_block")
+        derivatives = count_calls(monkeypatch, model, "_unitary_pieces")
+        qfims = count_calls(monkeypatch, bounds, "qfim")
+        cfg = {"scenario": "holevo", "model": self.XY_MODEL, "weight": {"kind": "identity"},
+               "output": {"report": str(tmp_path / "h.json")}}
+        assert run(write_config(tmp_path, "h.json", cfg), quiet=True) == 0
+        assert (len(states), len(derivatives), len(qfims)) == (1, 1, 1)
+
+    def test_bounds_scenario_computes_one_qfim(self, tmp_path, monkeypatch):
+        import qsense.bounds as bounds
+
+        qfims = count_calls(monkeypatch, bounds, "qfim")
+        cfg = {"scenario": "bounds", "model": self.XY_MODEL, "povm": {"name": "x_basis"},
+               "weight": {"kind": "identity"}, "nu": [[1.0, 0.0]],
+               "output": {"report": str(tmp_path / "b.json")}}
+        assert run(write_config(tmp_path, "b.json", cfg), quiet=True) == 0
+        assert len(qfims) == 1
 
 
 class TestDeterminismAndSchema:

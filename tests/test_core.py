@@ -17,7 +17,6 @@ from qsense.core import (
     SparseMultimodeState,
     ValidationError,
     WeightMatrix,
-    apply_phase_encoding,
     check_density_matrices,
     density_from_pure,
     diagonal_operator,
@@ -26,7 +25,6 @@ from qsense.core import (
     projective_measurement,
     spanned_sector,
     spectral_decomposition,
-    state_vector,
     tensor_product,
 )
 
@@ -154,42 +152,6 @@ class TestSpectralDecomposition:
         assert np.all(np.diff(evals) >= 0)
 
 
-class TestPhaseEncoding:
-    def test_zero_phase_is_identity(self):
-        state = noon_state(3)
-        gen = [lambda n: 0.5 * (n[0] - n[1])]
-        out = apply_phase_encoding(state, gen, [0.0])
-        for key, amp in state.amplitudes.items():
-            assert abs(out.amplitudes[key] - amp) < 1e-15
-
-    def test_noon_relative_phase(self):
-        # two-term hand computation: branches acquire exp(-i n theta / 2) each,
-        # so their ratio changes by exp(-i n theta)
-        n, theta = 4, 0.37
-        state = noon_state(n)
-        gen = [lambda occ: 0.5 * (occ[0] - occ[1])]
-        out = apply_phase_encoding(state, gen, [theta])
-        ratio_before = state.amplitudes[(n, 0)] / state.amplitudes[(0, n)]
-        ratio_after = out.amplitudes[(n, 0)] / out.amplitudes[(0, n)]
-        assert abs(ratio_after / ratio_before - np.exp(-1j * n * theta)) < 1e-12
-
-    def test_generator_count_mismatch(self):
-        state = noon_state(2)
-        with pytest.raises(ValidationError, match="generator count"):
-            apply_phase_encoding(state, [lambda n: n[0]], [0.1, 0.2])
-
-    def test_norm_preserved_for_random_phases(self):
-        rng = np.random.default_rng(5)
-        basis = FockBasis(4, 2)
-        amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-        amps /= np.linalg.norm(amps)
-        state = SparseMultimodeState(basis, dict(zip(fock_sector(4, 2), amps)))
-        gens = [lambda n: n[0], lambda n: 0.5 * (n[1] - n[2])]
-        for _ in range(5):
-            out = apply_phase_encoding(state, gens, rng.normal(size=2))
-            assert abs(out.norm_squared() - 1.0) < 1e-12
-
-
 class TestDensityFromPure:
     def test_vacuum_projector(self):
         basis = FockBasis(3, 0)
@@ -222,8 +184,10 @@ class TestDensityFromPure:
         state = noon_state(2)
         sector = spanned_sector(state)
         assert sector == ((0, 2), (2, 0))
-        vec = state_vector(state, sector)
-        assert np.allclose(np.abs(vec), 1 / np.sqrt(2))
+        rho = density_from_pure(state, sector)
+        assert np.allclose(np.abs(rho.entries), 0.5)
+        with pytest.raises(ValidationError, match="outside the requested sector"):
+            density_from_pure(state, sector[:1])
         op = diagonal_operator(lambda n: 0.5 * (n[0] - n[1]), sector)
         assert np.allclose(np.diag(op.entries).real, [-1.0, 1.0])
 

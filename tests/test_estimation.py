@@ -223,18 +223,6 @@ class TestSaturationReport:
         b = saturation_report(phase_model(), X_BASIS, [1.0], trials=300, **kwargs)
         assert np.array_equal(a.theta_hats, b.theta_hats[:100])
 
-    def test_records_serialize_to_json(self):
-        import json
-
-        record = sample_outcomes(phase_model(), X_BASIS, [0.8], m=50, seed=1)
-        payload = json.dumps(record.as_dict())
-        assert json.loads(payload)["m"] == 50
-        report = saturation_report(
-            phase_model(), X_BASIS, [1.0], m=100, trials=100, seed=2,
-            box=[(0.2, 2.9)], resolution=201,
-        )
-        assert "empirical_covariance" in json.loads(json.dumps(report.as_dict()))
-
     def test_csv_stream(self, tmp_path):
         path = tmp_path / "trials.csv"
         report = saturation_report(
