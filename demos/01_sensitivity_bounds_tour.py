@@ -41,8 +41,9 @@ x_basis = projective_measurement(
 
 for theta in [0.3, 1.0, 2.0]:
     p = probabilities(model, x_basis, [theta])
-    f = classical_fim(model, x_basis, [theta]).matrix[0, 0]
-    fq = qfim(model, [theta]).qfim.matrix[0, 0]
+    point = qfim(model, [theta])
+    f = classical_fim(point, x_basis).matrix[0, 0]
+    fq = point.qfim.matrix[0, 0]
     print(
         f"theta={theta:.1f}:  P(+)={p.values[0]:.4f}  F={f:.6f}  F_Q={fq:.6f}"
         "   (this measurement is optimal at every phase)"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, POVM, ValidationError
-from .bounds import classical_fim, pseudo_inverse
+from .bounds import classical_fim, pseudo_inverse, qfim
 from .model import ParametricModel, probabilities, probability_table
 from .estimation import LOG_FLOOR, _log_table, _loglik_nodes, parameter_axes, trial_generator
 
@@ -242,7 +242,7 @@ def asymptotic_check(
             on_step(step, post)
 
     cov = bayes_covariance(post, theta_true)
-    crb = pseudo_inverse(classical_fim(model, povm, theta_true)).matrix / m
+    crb = pseudo_inverse(classical_fim(qfim(model, theta_true), povm)).matrix / m
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(crb) > 0, cov / crb, np.nan)
     return AsymptoticReport(

@@ -2,7 +2,8 @@
 
 Conventions:
   * SLD L solves d rho = (L rho + rho L)/2 on the support of rho; matrix
-    elements between kernel vectors are set to zero.
+    elements between kernel vectors are set to zero.  The eigenpairs and
+    support of rho are those `DensityMatrix` stored; rho is not diagonalised here.
   * QFIM  F_ij = Re Tr[rho L_i L_j]; mean Uhlmann curvature
     G_ij = Im Tr[rho L_i L_j] (antisymmetric).
   * Singular information matrices are inverted on their support
@@ -33,12 +34,7 @@ from .core import (
     spanned_sector,
 )
 from .model import (
-    ParametricModel,
-    UnitaryEncoding,
-    encoding_generators,
-    probabilities,
-    probability_derivatives,
-    state_derivatives,
+    ParametricModel, ProbabilityVector, UnitaryEncoding, _check_povm_dim, state_derivatives,
 )
 
 P_FLOOR = 1e-12  # outcomes below this probability are excluded from FIM sums
@@ -122,11 +118,17 @@ class QfimResult:
 
 
 def classical_fim(
-    model: ParametricModel, povm: POVM, theta, p_floor: float = P_FLOOR
+    information: QfimResult, povm: POVM, p_floor: float = P_FLOOR
 ) -> FisherMatrix:
-    """FIM  F_ij = sum_k (d_i P_k)(d_j P_k)/P_k over outcomes with P_k >= p_floor."""
-    probs = probabilities(model, povm, theta).values
-    dp = probability_derivatives(model, povm, theta)
+    """FIM  F_ij = sum_k (d_i P_k)(d_j P_k)/P_k over outcomes with P_k >= p_floor.
+
+    P_k = Tr[rho E_k] and d_j P_k = Tr[d_j rho E_k] take rho and d_j rho from the record.
+    """
+    rho = information.state
+    _check_povm_dim(rho.dim, povm)
+    born = np.array([[np.real(np.trace(op.entries @ e.entries)) for e in povm.elements]
+                     for op in (rho, *information.derivatives)])
+    probs, dp = ProbabilityVector(born[0]).values, born[1:]
     keep = probs >= p_floor
     if not keep.any():
         raise NumericalError("all outcomes fall below the probability floor")
@@ -139,10 +141,10 @@ def classical_fim(
 def _slds(rho: DensityMatrix, drhos: Sequence[HermitianOperator]):
     """SLDs of rho along each drho, the eigenvalues of rho and the SLDs in its eigenbasis.
 
-    There L_ab = 2 d_ab / (lambda_a + lambda_b), zeroed where the sum is below
-    RANK_REL_TOL * lambda_max (the kernel block).
+    That eigenbasis is the stored one.  There L_ab = 2 d_ab / (lambda_a + lambda_b),
+    zeroed where the sum is below RANK_REL_TOL * lambda_max (the kernel block).
     """
-    lam, u = np.linalg.eigh(rho.entries)
+    lam, u = rho.eigenvalues, rho.eigenvectors
     denom = lam[:, None] + lam[None, :]
     d_eig = u.conj().T @ np.stack([d.entries for d in drhos]) @ u
     l_eig = np.zeros_like(d_eig)
@@ -256,9 +258,13 @@ class WeakBound:
 def weak_qcrb(nu, fisher: FisherMatrix, m: int = 1) -> WeakBound:
     """Weak bound for one direction; equals the exact bound iff nu is an eigenvector."""
     v = np.asarray(nu, dtype=float)
+    if v.shape != (fisher.dim,):
+        raise ValidationError(f"direction needs {fisher.dim} components, got shape {v.shape}")
     nsq = float(v @ v)
     if nsq == 0.0:
         raise ValidationError("direction vector must be nonzero")
+    if m < 1:
+        raise ValidationError("repetition count m must be >= 1")
     den = float(v @ fisher.matrix @ v)
     exact = float(v @ pseudo_inverse(fisher).matrix @ v) / m
     if den <= fisher.cutoff * nsq:
@@ -273,7 +279,6 @@ class SaturationChecks:
 
     g_q_max: float
     partial_commutator_max: float
-    generator_imag_matrix: np.ndarray | None
     weak_commutativity_holds: bool
     partial_commutativity_holds: bool
     pure_condition_holds: bool | None
@@ -282,13 +287,15 @@ class SaturationChecks:
 
 
 def saturation_checks(model: ParametricModel, theta, tol: float = 1e-8) -> SaturationChecks:
-    """Weak and partial commutativity checks, plus the pure-state generator check."""
+    """Weak and partial commutativity checks, plus the pure-state generator check.
+
+    For pure psi_0, Im<psi_0|G_i G_j|psi_0> = 0 with G_j = i U^dag dU/dtheta_j is G_ij/4 = 0.
+    """
     result = qfim(model, theta)
     g_max = float(np.abs(result.g_q).max())
 
-    lam, u = np.linalg.eigh(result.state.entries)
-    keep = lam > RANK_REL_TOL * float(lam.max())
-    proj = u[:, keep] @ u[:, keep].conj().T
+    u = result.state.eigenvectors[:, result.state.support]
+    proj = u @ u.conj().T
 
     pc_max = 0.0
     slds = [l.entries for l in result.slds]
@@ -297,24 +304,13 @@ def saturation_checks(model: ParametricModel, theta, tol: float = 1e-8) -> Satur
             comm = slds[i] @ slds[j] - slds[j] @ slds[i]
             pc_max = max(pc_max, float(np.abs(proj @ comm @ proj).max()))
 
-    gen_imag = None
     pure_ok = None
     if isinstance(model.strategy, UnitaryEncoding) and model.strategy.initial.purity() > 1.0 - 1e-10:
-        lam0, u0 = np.linalg.eigh(model.strategy.initial.entries)
-        psi0 = u0[:, -1]
-        gens = encoding_generators(model, theta)
-        d = len(gens)
-        gen_imag = np.empty((d, d))
-        for i in range(d):
-            wi = gens[i] @ psi0
-            for j in range(d):
-                gen_imag[i, j] = float(np.imag(wi.conj() @ (gens[j] @ psi0)))
-        pure_ok = bool(np.abs(gen_imag).max() <= tol)
+        pure_ok = bool(g_max / 4.0 <= tol)
 
     return SaturationChecks(
         g_q_max=g_max,
         partial_commutator_max=pc_max,
-        generator_imag_matrix=gen_imag,
         weak_commutativity_holds=bool(g_max <= tol),
         partial_commutativity_holds=bool(pc_max <= tol),
         pure_condition_holds=pure_ok,
@@ -382,10 +378,9 @@ def bound_chain_report(
     """
     from .holevo import holevo_bound  # deferred: holevo imports this module
 
-    f_cl = classical_fim(model, povm, theta)
-    crb = scalar_bound(f_cl, weight, m)
     solution = holevo_bound(model, theta, weight)
     result = solution.information
+    crb = scalar_bound(classical_fim(result, povm), weight, m)
     qcrb = scalar_bound(result.qfim, weight, m)
     hb = solution.value / m
 

@@ -241,7 +241,7 @@ def _run_bounds(cfg: dict, strict: bool) -> tuple[dict, dict]:
     m = cfg.get("m", 1)
     checks = saturation_checks(model, theta)
     result = checks.information
-    fim = classical_fim(model, povm, theta)
+    fim = classical_fim(result, povm)
     results = {
         "fim": fim.matrix,
         "fim_excluded_probability": fim.excluded_probability,

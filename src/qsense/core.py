@@ -97,6 +97,11 @@ def check_density_matrices(arr: np.ndarray) -> None:
     largest entry, unit trace and positive semidefinite.  The first violated
     check raises, naming the first offending matrix's value where it has one.
     """
+    _check_hermitian_unit_trace(arr)
+    _check_psd(np.linalg.eigvalsh(arr))
+
+
+def _check_hermitian_unit_trace(arr: np.ndarray) -> None:
     scale = np.abs(arr).max(axis=(-2, -1))
     if (scale == 0.0).any():
         raise ValidationError("density matrix is identically zero")
@@ -107,20 +112,33 @@ def check_density_matrices(arr: np.ndarray) -> None:
     off = np.abs(tr - 1.0) > TRACE_TOL
     if off.any():
         raise ValidationError(f"density matrix trace {tr[off].flat[0]} deviates from 1")
-    if (np.linalg.eigvalsh(arr).min(axis=-1) < -PSD_TOL).any():
+
+
+def _check_psd(evals: np.ndarray) -> None:
+    if (evals.min(axis=-1) < -PSD_TOL).any():
         raise ValidationError("density matrix has a negative eigenvalue")
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Trace-one positive-semidefinite Hermitian matrix."""
+    """Trace-one PSD Hermitian matrix with the eigenvalues and eigenvectors of its one eigh.
+
+    ``support`` masks eigenvalues above RANK_REL_TOL * lambda_max: rho's support is decided here.
+    """
 
     entries: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
+    support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_complex_matrix(self.entries)
-        check_density_matrices(arr)
-        object.__setattr__(self, "entries", _frozen(arr))
+        _check_hermitian_unit_trace(arr)
+        evals, evecs = np.linalg.eigh(arr)
+        _check_psd(evals)
+        for name, value in (("entries", arr), ("eigenvalues", evals), ("eigenvectors", evecs),
+                            ("support", evals > RANK_REL_TOL * float(evals.max()))):
+            object.__setattr__(self, name, _frozen(value))
 
     @property
     def dim(self) -> int:

@@ -267,6 +267,8 @@ def check_direction(spec: ProbeSpec, fisher: FisherMatrix, nu, m: int = 1) -> Pr
     instead of producing a finite (meaningless) number.  Generalized NOON
     probes check the sum of phase variances and ignore nu.
     """
+    if m < 1:
+        raise ValidationError("repetition count m must be >= 1")
     fplus = pseudo_inverse(fisher).matrix
 
     if spec.family == "GENERALIZED_NOON":
@@ -275,6 +277,10 @@ def check_direction(spec: ProbeSpec, fisher: FisherMatrix, nu, m: int = 1) -> Pr
         return ProbeCheck(closed, value, abs(value - closed) / closed, False, fisher)
 
     v = np.atleast_1d(np.asarray(nu, dtype=float))
+    if v.shape != (fisher.dim,):
+        raise ValidationError(f"direction needs {fisher.dim} components, got shape {v.shape}")
+    if not v.any():
+        raise ValidationError("direction vector must be nonzero")
     leak = float(np.linalg.norm(v - fisher.support @ v)) / float(np.linalg.norm(v))
     if leak > 1e-8:
         return ProbeCheck(None, None, None, True, fisher)

@@ -232,6 +232,8 @@ def saturation_report(
     """
     if trials < 100:
         raise ValidationError("need at least 100 trials for a saturation report")
+    if m < 1:
+        raise ValidationError("repetition count m must be >= 1")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     p_true = probabilities(model, povm, theta).values
     axes = parameter_axes(box, resolution)
@@ -264,8 +266,9 @@ def saturation_report(
                 )
 
     emp = empirical_covariance(theta_hats, theta)
-    crb = pseudo_inverse(classical_fim(model, povm, theta)).matrix / m
-    qcrb = pseudo_inverse(qfim(model, theta).qfim).matrix / m
+    information = qfim(model, theta)
+    crb = pseudo_inverse(classical_fim(information, povm)).matrix / m
+    qcrb = pseudo_inverse(information.qfim).matrix / m
     diag = np.diag(crb)
     sigma = np.where(diag > 0, diag * np.sqrt(2.0 / trials), np.inf)
     z = (np.diag(emp) - diag) / sigma

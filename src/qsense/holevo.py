@@ -5,8 +5,9 @@ tuples X = (X_1, ..., X_d) obeying Tr[rho X_i] = theta_i and
 Tr[(d_j rho) X_i] = delta_ij, subject to V >= Z[X] with
 Z[X]_ij = Tr[rho (X_i - theta_i)(X_j - theta_j)].
 
-Writing M for the matrix with columns vec((X_i - theta_i) sqrt(rho)), so that
-M^dag M = Z[X], the constraint is the Gram lifting [[V, M^dag], [M, I]] >= 0.
+Writing M for the matrix with columns vec((X_i - theta_i) sqrt(rho)), with
+sqrt(rho) taken from the spectrum and support that `DensityMatrix` stored, so
+that M^dag M = Z[X], the constraint is the Gram lifting [[V, M^dag], [M, I]] >= 0.
 Its lower-right block is I, so the lifting is PSD exactly when its Schur
 complement A = V - M^dag M is, and log det of the lifting equals log det A.
 A compact log-det barrier interior-point method (Newton steps, backtracking
@@ -42,7 +43,6 @@ import numpy as np
 from .core import (
     HermitianOperator,
     NumericalError,
-    RANK_REL_TOL,
     ValidationError,
     WeightMatrix,
 )
@@ -256,9 +256,8 @@ def holevo_bound(
     family = unbiased_family(model, theta)
     rho = family.information.state
     n = rho.dim
-    lam, u = np.linalg.eigh(rho.entries)
-    keep = lam > RANK_REL_TOL * float(lam.max())
-    us = u[:, keep] * np.sqrt(np.clip(lam[keep], 0.0, None))
+    keep = rho.support
+    us = rho.eigenvectors[:, keep] * np.sqrt(np.clip(rho.eigenvalues[keep], 0.0, None))
     nr = n * int(keep.sum())
 
     # columns vec((X_i - theta_i) sqrt(rho)) of the particular solution, and

@@ -132,11 +132,9 @@ def _check_theta(model: ParametricModel, theta) -> np.ndarray:
     return theta
 
 
-def _check_povm_dim(model: ParametricModel, povm: POVM) -> None:
-    if povm.dim != model.dim:
-        raise ValidationError(
-            f"POVM dimension {povm.dim} does not match model dimension {model.dim}"
-        )
+def _check_povm_dim(dim: int, povm: POVM) -> None:
+    if povm.dim != dim:
+        raise ValidationError(f"POVM dimension {povm.dim} does not match model dimension {dim}")
 
 
 def unitary_family(
@@ -272,33 +270,13 @@ def state_derivatives(model: ParametricModel, theta) -> list[HermitianOperator]:
     return out
 
 
-def encoding_generators(model: ParametricModel, theta) -> list[np.ndarray]:
-    """Local generators i U^dag dU/dtheta_j of a unitary family at theta."""
-    theta = _check_theta(model, theta)
-    if not isinstance(model.strategy, UnitaryEncoding):
-        raise ValidationError("encoding generators are defined for unitary families only")
-    u, dus = _unitary_pieces(model.strategy, theta)
-    return [_hermitize(1j * u.conj().T @ du) for du in dus]
-
-
 def probabilities(model: ParametricModel, povm: POVM, theta) -> ProbabilityVector:
     """Born-rule outcome probabilities P(k|theta) = Tr[rho_theta E_k]."""
     theta = _check_theta(model, theta)
-    _check_povm_dim(model, povm)
+    _check_povm_dim(model.dim, povm)
     rho = model.evaluate(theta).entries
     vals = np.array([np.real(np.trace(rho @ e.entries)) for e in povm.elements])
     return ProbabilityVector(vals)
-
-
-def probability_derivatives(model: ParametricModel, povm: POVM, theta) -> np.ndarray:
-    """Matrix dP[j, k] = d_j P(k|theta) from the model's derivative strategy."""
-    _check_povm_dim(model, povm)
-    derivs = state_derivatives(model, theta)
-    out = np.empty((model.parameter_count, len(povm)))
-    for j, d in enumerate(derivs):
-        for k, e in enumerate(povm.elements):
-            out[j, k] = float(np.real(np.trace(d.entries @ e.entries)))
-    return out
 
 
 def _density_block(model: ParametricModel, nodes: np.ndarray) -> np.ndarray:
@@ -325,7 +303,7 @@ def probability_table(model: ParametricModel, povm: POVM, axes) -> np.ndarray:
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != model.parameter_count:
         raise ValidationError("grid dimensionality does not match the model")
-    _check_povm_dim(model, povm)
+    _check_povm_dim(model.dim, povm)
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in mesh], axis=1)
     _check_domain(model, nodes)

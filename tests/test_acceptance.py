@@ -132,7 +132,8 @@ def test_criterion_4_information_inequality():
         )
         povm = random_povm(rng, dim, int(rng.integers(2, 7)))
         theta = rng.normal(scale=0.4, size=d)
-        gap = qfim(model, theta).qfim.matrix - classical_fim(model, povm, theta).matrix
+        point = qfim(model, theta)
+        gap = point.qfim.matrix - classical_fim(point, povm).matrix
         low = float(np.linalg.eigvalsh(gap).min())
         worst = min(worst, low)
         if low < -1e-8:

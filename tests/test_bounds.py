@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm, expm_frechet
 
 from qsense.core import (
     DensityMatrix,
@@ -125,7 +126,7 @@ class TestClassicalFim:
         # oracle: binomial Fisher information (dP)^2 (1/P+ + 1/P-)
         model = unitary_family(PLUS, [half(PAULI_Z)])
         for theta in [0.2, 0.9, 1.6, 2.6]:
-            f = classical_fim(model, X_BASIS, [theta])
+            f = classical_fim(qfim(model, [theta]), X_BASIS)
             p = (1 + np.cos(theta)) / 2
             dp = np.sin(theta) / 2
             expected = dp**2 * (1 / p + 1 / (1 - p))
@@ -149,9 +150,9 @@ class TestClassicalFim:
             )
         )
         theta = [0.5, 1.1]
-        f = classical_fim(product_model, product_povm, theta).matrix
-        f1 = classical_fim(single, X_BASIS, [theta[0]]).matrix[0, 0]
-        f2 = classical_fim(single, X_BASIS, [theta[1]]).matrix[0, 0]
+        f = classical_fim(qfim(product_model, theta), product_povm).matrix
+        f1 = classical_fim(qfim(single, [theta[0]]), X_BASIS).matrix[0, 0]
+        f2 = classical_fim(qfim(single, [theta[1]]), X_BASIS).matrix[0, 0]
         assert np.abs(f - np.diag([f1, f2])).max() < 1e-9
 
     def test_insensitive_parameter_gives_zero_row(self):
@@ -165,7 +166,7 @@ class TestClassicalFim:
         first_only = POVM(
             tuple(tensor_product(e, identity(2)) for e in X_BASIS.elements)
         )
-        f = classical_fim(model, first_only, [0.7, 0.3]).matrix
+        f = classical_fim(qfim(model, [0.7, 0.3]), first_only).matrix
         assert np.abs(f[1]).max() < 1e-12
         assert np.abs(f[:, 1]).max() < 1e-12
         assert f[0, 0] > 0.9
@@ -177,7 +178,7 @@ class TestClassicalFim:
         dead = POVM((HermitianOperator(np.zeros((2, 2))), identity(2)))
         # first element never fires; the identity element carries zero derivative,
         # so flooring it away must leave an informative sum, not an error
-        f = classical_fim(model, dead, [0.3])
+        f = classical_fim(qfim(model, [0.3]), dead)
         assert f.matrix[0, 0] == 0.0
 
 
@@ -278,7 +279,7 @@ class TestQfim:
             povm = random_povm(rng, dim, int(rng.integers(2, 6)))
             theta = rng.normal(scale=0.4, size=d)
             fq = qfim(model, theta).qfim.matrix
-            f = classical_fim(model, povm, theta).matrix
+            f = classical_fim(qfim(model, theta), povm).matrix
             assert np.linalg.eigvalsh(fq - f).min() >= -1e-8
 
 
@@ -494,8 +495,6 @@ class TestSaturationChecks:
         assert not checks.weak_commutativity_holds
         assert abs(checks.g_q_max - 1.0) < 1e-10
         assert checks.pure_condition_holds is False
-        # the generator check equals the curvature up to the factor four
-        assert abs(4.0 * np.abs(checks.generator_imag_matrix).max() - 1.0) < 1e-10
 
     def test_single_parameter_trivially_passes(self):
         model = unitary_family(PLUS, [half(PAULI_Z)])
@@ -503,6 +502,47 @@ class TestSaturationChecks:
         assert checks.weak_commutativity_holds
         assert checks.partial_commutativity_holds
         assert checks.pure_condition_holds
+
+
+def local_generators(model, theta):
+    """Oracle: G_j = i U^dag dU/dtheta_j of a unitary family, from SciPy's expm and expm_frechet."""
+    exponent = -1j * sum(t * g.entries for t, g in zip(theta, model.strategy.generators))
+    u = expm(exponent)
+    return [1j * u.conj().T @ expm_frechet(exponent, -1j * g.entries, compute_expm=False)
+            for g in model.strategy.generators]
+
+
+class TestPureStateCondition:
+    """Matsumoto's Im<psi_0|G_i G_j|psi_0> = 0 read from the curvature matrix of the record."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(2, 5),
+        d=st.integers(1, 3),
+        commuting=st.booleans(),
+        at_origin=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_curvature_is_four_times_generator_imaginary_part(
+        self, dim, d, commuting, at_origin, seed
+    ):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        if commuting:  # diagonal in a shared random basis: the condition holds
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            gens = [HermitianOperator((q * rng.normal(size=dim)) @ q.conj().T) for _ in range(d)]
+        else:
+            gens = [random_hermitian(rng, dim) for _ in range(d)]
+        model = unitary_family(DensityMatrix(np.outer(psi, psi.conj())), gens)
+        theta = np.zeros(d) if at_origin else rng.normal(size=d)
+
+        local = local_generators(model, theta)
+        oracle = np.array([[np.imag(psi.conj() @ gi @ gj @ psi) for gj in local] for gi in local])
+        g_q = qfim(model, theta).g_q
+        assert np.abs(g_q - 4.0 * oracle).max() <= 1e-10 * max(1.0, np.abs(4.0 * oracle).max())
+        checks = saturation_checks(model, theta)
+        assert checks.pure_condition_holds == bool(np.abs(oracle).max() <= checks.tolerance)
 
 
 class TestBestCombination:

@@ -87,6 +87,26 @@ class TestValidation:
         assert code == 2
         assert not report_path.exists()
 
+    MEPE = {"family": "MEPE", "sensors": 2, "particles_per_sensor": 1}
+
+    @pytest.mark.parametrize("cfg", [
+        {"scenario": "bounds", "model": QUBIT_MODEL, "povm": {"name": "x_basis"},
+         "nu": [[1.0, 0.0]]},
+        {"scenario": "bounds", "model": QUBIT_MODEL, "povm": {"name": "x_basis"},
+         "m": 0, "nu": [[1.0]]},
+        {"scenario": "dqs", "dqs": MEPE, "nu": [[0.5, 0.5, 0.5]]},
+        {"scenario": "dqs", "dqs": MEPE, "nu": [[0.0, 0.0]]},
+        {"scenario": "dqs", "dqs": MEPE, "m": 0, "nu": [[0.5, 0.5]]},
+        {"scenario": "simulate", "model": QUBIT_MODEL, "povm": {"name": "x_basis"}, "m": 0,
+         "trials": 100, "domain": [[0.2, 2.9]], "grid_resolution": 101},
+    ], ids=["bounds-nu-length", "bounds-m0", "dqs-nu-length", "dqs-nu-zero", "dqs-m0",
+            "simulate-m0"])
+    def test_bad_direction_or_repetition_count_exits_2(self, cfg, tmp_path):
+        report_path = tmp_path / "report.json"
+        code = run(write_config(tmp_path, "bad.json", cfg), out=str(report_path), quiet=True)
+        assert code == 2
+        assert not report_path.exists()
+
     def test_internal_error_exits_4_with_report_and_traceback(self, tmp_path, monkeypatch,
                                                               capsys):
         def broken(cfg, strict):
@@ -301,15 +321,53 @@ class TestOneEvaluationPerPoint:
         assert run(write_config(tmp_path, "h.json", cfg), quiet=True) == 0
         assert (len(states), len(derivatives), len(qfims)) == (1, 1, 1)
 
+    def bounds_config(self, tmp_path):
+        return {"scenario": "bounds", "model": self.XY_MODEL, "povm": {"name": "x_basis"},
+                "weight": {"kind": "identity"}, "nu": [[1.0, 0.0]],
+                "output": {"report": str(tmp_path / "b.json")}}
+
     def test_bounds_scenario_computes_one_qfim(self, tmp_path, monkeypatch):
         import qsense.bounds as bounds
 
         qfims = count_calls(monkeypatch, bounds, "qfim")
-        cfg = {"scenario": "bounds", "model": self.XY_MODEL, "povm": {"name": "x_basis"},
-               "weight": {"kind": "identity"}, "nu": [[1.0, 0.0]],
-               "output": {"report": str(tmp_path / "b.json")}}
-        assert run(write_config(tmp_path, "b.json", cfg), quiet=True) == 0
+        assert run(write_config(tmp_path, "b.json", self.bounds_config(tmp_path)), quiet=True) == 0
         assert len(qfims) == 1
+
+    def test_bounds_scenario_evaluates_state_and_derivatives_once(self, tmp_path, monkeypatch):
+        import qsense.model as model
+
+        states = count_calls(monkeypatch, model, "_density_block")
+        derivatives = count_calls(monkeypatch, model, "_unitary_pieces")
+        assert run(write_config(tmp_path, "b.json", self.bounds_config(tmp_path)), quiet=True) == 0
+        assert (len(states), len(derivatives)) == (1, 1)
+
+    @pytest.mark.parametrize("scenario", ["holevo", "bounds"])
+    def test_state_of_the_point_is_diagonalised_once(self, scenario, tmp_path, monkeypatch):
+        import qsense.model as model
+
+        states = []
+        density_block = model._density_block
+
+        def recording(*args):
+            states.append(density_block(*args))
+            return states[-1]
+
+        monkeypatch.setattr(model, "_density_block", recording)
+        inputs = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(arr, *args, _original=getattr(np.linalg, name), **kwargs):
+                inputs.append(np.array(arr, copy=True))
+                return _original(arr, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        if scenario == "holevo":
+            cfg = {"scenario": "holevo", "model": self.XY_MODEL, "weight": {"kind": "identity"},
+                   "output": {"report": str(tmp_path / "h.json")}}
+        else:
+            cfg = self.bounds_config(tmp_path)
+        assert run(write_config(tmp_path, "c.json", cfg), quiet=True) == 0
+        (rho,) = states[0]
+        assert sum(a.shape == rho.shape and np.array_equal(a, rho) for a in inputs) == 1
 
 
 class TestDeterminismAndSchema:

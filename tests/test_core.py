@@ -14,6 +14,7 @@ from qsense.core import (
     PAULI_Y,
     PAULI_Z,
     POVM,
+    RANK_REL_TOL,
     SparseMultimodeState,
     ValidationError,
     WeightMatrix,
@@ -102,6 +103,25 @@ class TestTypes:
         basis = FockBasis(2, 1)
         with pytest.raises(ValidationError):
             SparseMultimodeState(basis, {(2, 0): 1.0})
+
+
+class TestDensityMatrixSpectrum:
+    """The stored eigenpairs and support against an independent eigvalsh."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(1, 6), rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_eigenpairs_rebuild_entries_and_support_matches_eigvalsh(self, dim, rank, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, min(rank, dim))) + 1j * rng.normal(size=(dim, min(rank, dim)))
+        h = a @ a.conj().T
+        rho = DensityMatrix(h / np.trace(h))
+        rebuilt = (rho.eigenvectors * rho.eigenvalues) @ rho.eigenvectors.conj().T
+        assert np.abs(rebuilt - rho.entries).max() < 1e-12
+        evals = np.linalg.eigvalsh(rho.entries)
+        assert np.array_equal(rho.support, evals > RANK_REL_TOL * evals.max())
+        assert int(rho.support.sum()) == min(rank, dim)
+        for arr in (rho.eigenvalues, rho.eigenvectors, rho.support):
+            assert not arr.flags.writeable
 
 
 class TestTensorProduct:

@@ -15,13 +15,12 @@ from qsense.core import (
     projective_measurement,
     tensor_product,
 )
+from qsense.bounds import classical_fim, qfim
 from qsense.model import (
     TABLE_BLOCK_NODES,
-    encoding_generators,
     explicit_model,
     finite_difference_model,
     probabilities,
-    probability_derivatives,
     probability_table,
     state_derivatives,
     unitary_family,
@@ -174,12 +173,6 @@ class TestStateDerivatives:
         with pytest.raises(ValidationError, match="boundary"):
             state_derivatives(model, [0.0])
 
-    def test_encoding_generators_reduce_to_static_at_origin(self):
-        model = unitary_family(PLUS, [half(PAULI_X), half(PAULI_Y)])
-        gens = encoding_generators(model, [0.0, 0.0])
-        assert np.abs(gens[0] - half(PAULI_X).entries).max() < 1e-12
-        assert np.abs(gens[1] - half(PAULI_Y).entries).max() < 1e-12
-
 
 class TestEigenbasisPath:
     """U, dU/dtheta and rho from one eigh, against SciPy's expm and expm_frechet."""
@@ -214,21 +207,24 @@ class TestEigenbasisPath:
 
         assert close(model.evaluate(theta).entries, u @ rho @ u.conj().T)
         derivs = state_derivatives(model, theta)
-        local = encoding_generators(model, theta)
-        for du, drho, h_loc in zip(dus, derivs, local):
+        for du, drho in zip(dus, derivs):
             assert close(drho.entries, du @ rho @ u.conj().T + u @ rho @ du.conj().T)
-            assert close(h_loc, 1j * u.conj().T @ du)
 
 
-class TestProbabilityDerivatives:
+class TestClassicalFimFromRecord:
     def test_matches_finite_difference_of_probabilities(self):
-        model = unitary_family(PLUS, [half(PAULI_Z)])
-        theta = np.array([0.9])
-        dp = probability_derivatives(model, X_BASIS, theta)
+        """F_ij from the record's rho and d rho against sum_k dP_k dP_k / P_k by central differences."""
+        rng = np.random.default_rng(9)
+        model = random_unitary_model(rng, 3, 2)
+        povm = random_povm(rng, 3, 4)
+        theta = np.array([0.9, -0.4])
+        f = classical_fim(qfim(model, theta), povm).matrix
         eps = 1e-6
-        plus = probabilities(model, X_BASIS, theta + eps).values
-        minus = probabilities(model, X_BASIS, theta - eps).values
-        assert np.abs(dp[0] - (plus - minus) / (2 * eps)).max() < 1e-8
+        p = probabilities(model, povm, theta).values
+        dp = np.array([(probabilities(model, povm, theta + eps * e).values
+                        - probabilities(model, povm, theta - eps * e).values) / (2 * eps)
+                       for e in np.eye(2)])
+        assert np.abs(f - (dp / p) @ dp.T).max() < 1e-8
 
 
 def random_povm(rng, dim, outcomes):
