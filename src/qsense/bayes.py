@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import NumericalError, POVM, ValidationError
 from .bounds import classical_fim, pseudo_inverse, qfim
-from .model import ParametricModel, probabilities, probability_table
+from .model import ParametricModel, born_probabilities, probability_table
 from .estimation import LOG_FLOOR, _log_table, _loglik_nodes, parameter_axes, trial_generator
 
 DEFAULT_RESOLUTION = {1: 2001, 2: 301, 3: 61}
@@ -222,7 +222,8 @@ def asymptotic_check(
             outcomes=np.zeros(0, dtype=np.int64),
             pre_asymptotic=True,
         )
-    p_true = probabilities(model, povm, theta_true).values
+    information = qfim(model, theta_true)
+    p_true = born_probabilities(information.state, povm).values
     rng = trial_generator(seed, 0)
     outcomes = rng.choice(len(p_true), size=m, p=p_true)
     log_table = _log_table(likelihood_table(model, povm, post.axes))
@@ -242,7 +243,7 @@ def asymptotic_check(
             on_step(step, post)
 
     cov = bayes_covariance(post, theta_true)
-    crb = pseudo_inverse(classical_fim(qfim(model, theta_true), povm)).matrix / m
+    crb = pseudo_inverse(classical_fim(information, povm)).matrix / m
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(crb) > 0, cov / crb, np.nan)
     return AsymptoticReport(

@@ -34,7 +34,7 @@ from .core import (
     spanned_sector,
 )
 from .model import (
-    ParametricModel, ProbabilityVector, UnitaryEncoding, _check_povm_dim, state_derivatives,
+    ParametricModel, UnitaryEncoding, _check_theta, born_probabilities, state_derivatives,
 )
 
 P_FLOOR = 1e-12  # outcomes below this probability are excluded from FIM sums
@@ -124,11 +124,9 @@ def classical_fim(
 
     P_k = Tr[rho E_k] and d_j P_k = Tr[d_j rho E_k] take rho and d_j rho from the record.
     """
-    rho = information.state
-    _check_povm_dim(rho.dim, povm)
-    born = np.array([[np.real(np.trace(op.entries @ e.entries)) for e in povm.elements]
-                     for op in (rho, *information.derivatives)])
-    probs, dp = ProbabilityVector(born[0]).values, born[1:]
+    probs = born_probabilities(information.state, povm).values
+    dp = np.array([[np.real(np.trace(d.entries @ e.entries)) for e in povm.elements]
+                   for d in information.derivatives])
     keep = probs >= p_floor
     if not keep.any():
         raise NumericalError("all outcomes fall below the probability floor")
@@ -172,7 +170,8 @@ def _incompatibility_ratio(fisher: FisherMatrix, g: np.ndarray) -> float:
 
 def qfim(model: ParametricModel, theta) -> QfimResult:
     """QFIM, SLDs, curvature matrix and incompatibility ratio of a model at theta."""
-    rho = model.evaluate(np.atleast_1d(np.asarray(theta, dtype=float)))
+    theta = _check_theta(model, theta)
+    rho = model.evaluate(theta)
     derivs = tuple(state_derivatives(model, theta))
     slds, lam, slds_eig = _slds(rho, derivs)
 

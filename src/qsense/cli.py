@@ -13,7 +13,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import sys
 import time
@@ -78,9 +78,45 @@ class ConfigError(ValueError):
     """The scenario file is missing, malformed, or semantically invalid."""
 
 
+@functools.cache
 def _load_schema(name: str) -> dict:
     with resources.files("qsense").joinpath("schemas", name).open("r") as fh:
         return json.load(fh)
+
+
+class _CheckedValidator:
+    """Stands in for a validator class in `jsonschema.validate(..., cls=...)`.
+
+    The schema is checked against its meta-schema once, when this is built,
+    and the one validator built from it is reused for every instance.
+    """
+
+    def __init__(self, schema: dict):
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        self._validator = cls(schema)
+
+    def check_schema(self, schema: dict) -> None:
+        """Already checked when built."""
+
+    def __call__(self, schema: dict):
+        return self._validator
+
+
+@functools.cache
+def _validator(name: str) -> _CheckedValidator:
+    return _CheckedValidator(_load_schema(name))
+
+
+def _validate(instance, name: str) -> None:
+    """Raise `best_match`'s `jsonschema.ValidationError` if ``instance`` breaks the schema."""
+    # through jsonschema.validate, not iter_errors: the benchmark's tracer spans this call
+    # until the spans move into the package (ROADMAP item 4)
+    jsonschema.validate(instance, _load_schema(name), cls=_validator(name))
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
 
 
 @dataclass(frozen=True)
@@ -93,13 +129,13 @@ class ScenarioConfig:
     def from_file(cls, path: str) -> "ScenarioConfig":
         try:
             with open(path) as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=_refuse_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a NaN/Infinity literal
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         try:
-            jsonschema.validate(raw, _load_schema("scenario.schema.json"))
+            _validate(raw, "scenario.schema.json")
         except jsonschema.ValidationError as exc:
             raise ConfigError(f"config failed schema validation: {exc.message}") from exc
         return cls(raw)
@@ -375,14 +411,13 @@ def _run_bayes(cfg: dict, seed: int, csv_path) -> tuple[dict, dict]:
     m = cfg["m"]
     snapshot_every = cfg.get("snapshot_every", max(1, m // 10 if m else 1))
 
-    writer_ctx = open(csv_path, "w", newline="") if csv_path is not None else None
-    writer = csv.writer(writer_ctx) if writer_ctx is not None else None
-    if writer is not None:
-        writer.writerow(["step", "grid_index", "weight"])
+    fh = open(csv_path, "w", newline="") if csv_path is not None else None
+    if fh is not None:
+        fh.write("step,grid_index,weight\r\n")
 
-    def on_step(step, post):
-        for idx, w in enumerate(post.weights.ravel()):
-            writer.writerow([step, idx, repr(float(w))])
+    def on_step(step, post):  # one block per step, in csv.writer's default dialect
+        weights = post.weights.ravel().tolist()
+        fh.write("".join(f"{step},{i},{w!r}\r\n" for i, w in enumerate(weights)))
 
     try:
         report = asymptotic_check(
@@ -393,12 +428,12 @@ def _run_bayes(cfg: dict, seed: int, csv_path) -> tuple[dict, dict]:
             seed=seed,
             box=cfg["domain"],
             resolution=cfg.get("grid_resolution"),
-            on_step=on_step if writer is not None else None,
+            on_step=on_step if fh is not None else None,
             snapshot_every=snapshot_every,
         )
     finally:
-        if writer_ctx is not None:
-            writer_ctx.close()
+        if fh is not None:
+            fh.close()
     results = {
         "bayes_covariance": report.covariance,
         "crb_matrix": report.crb_matrix,
@@ -474,7 +509,7 @@ def run(
     report["results"] = _jsonable(results)
     report["diagnostics"] = _jsonable(diagnostics)
     report["timing_seconds"] = time.perf_counter() - started
-    jsonschema.validate(report, _load_schema("report.schema.json"))
+    _validate(report, "report.schema.json")
     _emit_report(report, report_path)
     if not quiet:
         print(f"{scenario}: ok ({report['timing_seconds']:.3f}s)", file=sys.stderr)

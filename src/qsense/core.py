@@ -60,6 +60,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
     arr = np.array(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # NaN would slip through every tolerance comparison
+        raise ValidationError("matrix has a NaN or infinite entry")
     return arr
 
 

@@ -11,14 +11,13 @@ products counts @ log_table (`_loglik_nodes`).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import NumericalError, POVM, ValidationError
 from .bounds import classical_fim, pseudo_inverse, qfim
-from .model import ParametricModel, probabilities, probability_table
+from .model import ParametricModel, born_probabilities, probabilities, probability_table
 
 GRID_RESOLUTION_DEFAULT = 2001
 MAX_GRID_DIMENSIONS = 2
@@ -235,7 +234,8 @@ def saturation_report(
     if m < 1:
         raise ValidationError("repetition count m must be >= 1")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    p_true = probabilities(model, povm, theta).values
+    information = qfim(model, theta)
+    p_true = born_probabilities(information.state, povm).values
     axes = parameter_axes(box, resolution)
     log_table = _log_table(probability_table(model, povm, axes))
     nodes = log_table[0].size
@@ -255,18 +255,16 @@ def saturation_report(
         theta_hats[start:stop], logliks[start:stop], _, _ = _grid_argmax(ll, axes)
 
     if csv_path is not None:
+        # one block in csv.writer's default dialect: comma-separated, "\r\n"-terminated
+        header = ["trial"] + [f"theta_hat_{j + 1}" for j in range(len(theta))] + ["loglik"]
+        rows = "".join(
+            f"{t},{','.join(repr(x) for x in hats)},{loglik!r}\r\n"
+            for t, (hats, loglik) in enumerate(zip(theta_hats.tolist(), logliks.tolist()))
+        )
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["trial"] + [f"theta_hat_{j + 1}" for j in range(len(theta))] + ["loglik"]
-            )
-            for t in range(trials):
-                writer.writerow(
-                    [t] + [repr(float(x)) for x in theta_hats[t]] + [repr(float(logliks[t]))]
-                )
+            fh.write(",".join(header) + "\r\n" + rows)
 
     emp = empirical_covariance(theta_hats, theta)
-    information = qfim(model, theta)
     crb = pseudo_inverse(classical_fim(information, povm)).matrix / m
     qcrb = pseudo_inverse(information.qfim).matrix / m
     diag = np.diag(crb)

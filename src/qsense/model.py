@@ -128,6 +128,8 @@ def _check_theta(model: ParametricModel, theta) -> np.ndarray:
         raise ValidationError(
             f"model has {model.parameter_count} parameters, got {len(theta)}"
         )
+    if not np.isfinite(theta).all():
+        raise ValidationError(f"parameter point {theta.tolist()} is not finite")
     _check_domain(model, theta)
     return theta
 
@@ -270,13 +272,16 @@ def state_derivatives(model: ParametricModel, theta) -> list[HermitianOperator]:
     return out
 
 
+def born_probabilities(state: DensityMatrix, povm: POVM) -> ProbabilityVector:
+    """Born-rule outcome probabilities P(k) = Tr[rho E_k] of one state."""
+    _check_povm_dim(state.dim, povm)
+    rho = state.entries
+    return ProbabilityVector(np.array([np.real(np.trace(rho @ e.entries)) for e in povm.elements]))
+
+
 def probabilities(model: ParametricModel, povm: POVM, theta) -> ProbabilityVector:
     """Born-rule outcome probabilities P(k|theta) = Tr[rho_theta E_k]."""
-    theta = _check_theta(model, theta)
-    _check_povm_dim(model.dim, povm)
-    rho = model.evaluate(theta).entries
-    vals = np.array([np.real(np.trace(rho @ e.entries)) for e in povm.elements])
-    return ProbabilityVector(vals)
+    return born_probabilities(model.evaluate(_check_theta(model, theta)), povm)
 
 
 def _density_block(model: ParametricModel, nodes: np.ndarray) -> np.ndarray:

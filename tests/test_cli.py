@@ -107,6 +107,37 @@ class TestValidation:
         assert code == 2
         assert not report_path.exists()
 
+    NAN, INF = float("nan"), float("inf")
+    XY = {"kind": "unitary", "initial_state": [[1.0, 0.0], [0.0, 0.0]],
+          "generators": [{"pauli": "x", "scale": 0.5}, {"pauli": "y", "scale": 0.5}],
+          "theta": [0.0, 0.0]}
+    MIXED = {key: value for key, value in QUBIT_MODEL.items() if key != "initial_state"}
+
+    @pytest.mark.parametrize("cfg", [
+        {"model": dict(QUBIT_MODEL, initial_state=[[NAN, 0.0], [0.7071067811865476, 0.0]])},
+        {"model": MIXED | {"initial_density": [[[0.5, 0.0], [NAN, 0.0]],
+                                                [[NAN, 0.0], [0.5, 0.0]]]}},
+        {"model": dict(QUBIT_MODEL, generators=[{"matrix": [[[0.5, 0.0], [0.0, 0.0]],
+                                                             [[0.0, 0.0], [NAN, 0.0]]]}])},
+        {"model": dict(QUBIT_MODEL, theta=[INF])},
+        {"model": dict(QUBIT_MODEL, theta=[1.0]), "nu": [[NAN]]},
+        {"scenario": "holevo", "model": XY, "weight": {"matrix": [[1.0, NAN], [NAN, 1.0]]}},
+        {"scenario": "simulate", "m": 50, "trials": 100, "domain": [[NAN, 2.9]]},
+        # 1e999 is valid JSON and parses to inf: the core checks catch it
+        {"model": dict(QUBIT_MODEL, generators=[{"matrix": [[["OVERFLOW", 0.0], [0.0, 0.0]],
+                                                             [[0.0, 0.0], [0.0, 0.0]]]}])},
+        {"model": dict(QUBIT_MODEL, theta=["OVERFLOW"])},
+    ], ids=["nan-initial-state", "nan-initial-density", "nan-generator", "infinite-theta",
+            "nan-direction", "nan-weight", "nan-domain", "overflow-generator",
+            "overflow-theta"])
+    def test_non_finite_input_exits_2(self, cfg, tmp_path):
+        cfg = {"scenario": "bounds", "model": QUBIT_MODEL, "povm": {"name": "x_basis"}} | cfg
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(cfg).replace('"OVERFLOW"', "1e999"))
+        report_path = tmp_path / "report.json"
+        assert run(str(path), out=str(report_path), quiet=True) == 2
+        assert not report_path.exists()
+
     def test_internal_error_exits_4_with_report_and_traceback(self, tmp_path, monkeypatch,
                                                               capsys):
         def broken(cfg, strict):
@@ -368,6 +399,81 @@ class TestOneEvaluationPerPoint:
         assert run(write_config(tmp_path, "c.json", cfg), quiet=True) == 0
         (rho,) = states[0]
         assert sum(a.shape == rho.shape and np.array_equal(a, rho) for a in inputs) == 1
+
+    @pytest.mark.parametrize("scenario", ["simulate", "bayes"])
+    def test_state_at_theta_true_is_evaluated_once(self, scenario, tmp_path, monkeypatch):
+        import qsense.model as model
+
+        theta = np.array(QUBIT_MODEL["theta"])
+        points = []
+        density_block = model._density_block
+
+        def recording(strategy_model, nodes):
+            points.extend(node for node in nodes if np.array_equal(node, theta))
+            return density_block(strategy_model, nodes)
+
+        monkeypatch.setattr(model, "_density_block", recording)
+        cfg = {"scenario": scenario, "model": QUBIT_MODEL, "povm": {"name": "x_basis"},
+               "m": 50, "domain": [[0.2, 2.9]], "grid_resolution": 31,
+               "output": {"report": str(tmp_path / "r.json")}}
+        if scenario == "simulate":
+            cfg["trials"] = 100
+        assert run(write_config(tmp_path, "c.json", cfg), quiet=True) == 0
+        assert len(points) == 1
+
+
+class TestCachedValidators:
+    MEPE = {"family": "MEPE", "sensors": 2, "particles_per_sensor": 1}
+
+    def dqs_config(self, tmp_path):
+        return {"scenario": "dqs", "dqs": self.MEPE, "nu": [[0.5, 0.5]],
+                "output": {"report": str(tmp_path / "r.json")}}
+
+    def test_each_schema_is_checked_once(self, tmp_path, monkeypatch):
+        checked = []
+        validator_cls = jsonschema.Draft202012Validator
+        original = validator_cls.check_schema.__func__
+
+        def counting(cls, schema, *args, **kwargs):
+            checked.append(schema["$id"])
+            return original(cls, schema, *args, **kwargs)
+
+        monkeypatch.setattr(validator_cls, "check_schema", classmethod(counting))
+        cli_module._validator.cache_clear()
+        path = write_config(tmp_path, "c.json", self.dqs_config(tmp_path))
+        for _ in range(4):
+            assert run(path, quiet=True) == 0
+        assert sorted(checked) == ["qsense-report-v1", "qsense-scenario-v1"]
+
+    @pytest.mark.parametrize("cfg", [
+        {"scenario": "dqs", "dqs": MEPE, "m": "two"},
+        {"scenario": "simulate", "model": QUBIT_MODEL, "povm": {"name": "x_basis"}, "m": 10},
+        {"scenario": "sweep"},
+        {"scenario": "dqs", "dqs": MEPE, "m": -1},
+        {"scenario": "dqs", "dqs": MEPE, "mystery": 1},
+        {"scenario": "dqs", "dqs": MEPE, "output": {"report": "r.json", "log": "l.txt"}},
+        {"scenario": "bounds", "model": QUBIT_MODEL, "povm": {"name": "w_basis"}},
+        {"scenario": "bounds", "model": dict(QUBIT_MODEL, theta=[]), "povm": {"name": "x_basis"}},
+    ], ids=["wrong-type", "missing-required", "enum", "minimum", "extra-property",
+            "nested-extra-property", "one-of", "min-items"])
+    def test_config_error_is_the_stock_best_match(self, cfg, tmp_path):
+        with pytest.raises(jsonschema.ValidationError) as stock:
+            jsonschema.validate(cfg, _load_schema("scenario.schema.json"))
+        with pytest.raises(cli_module.ConfigError) as ours:
+            ScenarioConfig.from_file(write_config(tmp_path, "bad.json", cfg))
+        assert str(ours.value) == f"config failed schema validation: {stock.value.message}"
+
+    def test_report_breaking_the_schema_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_module, "REPORT_SCHEMA_ID", "qsense-report-v0")
+        with pytest.raises(jsonschema.ValidationError, match="qsense-report-v1"):
+            run(write_config(tmp_path, "c.json", self.dqs_config(tmp_path)), quiet=True)
+
+    def test_cached_schemas_are_not_mutated(self, tmp_path):
+        names = ("scenario.schema.json", "report.schema.json")
+        before = [json.dumps(_load_schema(name), sort_keys=True) for name in names]
+        assert run(write_config(tmp_path, "c.json", self.dqs_config(tmp_path)), quiet=True) == 0
+        assert run(write_config(tmp_path, "bad.json", {"scenario": "sweep"}), quiet=True) == 2
+        assert [json.dumps(_load_schema(name), sort_keys=True) for name in names] == before
 
 
 class TestDeterminismAndSchema:

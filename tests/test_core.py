@@ -65,6 +65,14 @@ class TestTypes:
         with pytest.raises(ValidationError, match=message):
             DensityMatrix(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("cls", [DensityMatrix, HermitianOperator])
+    def test_non_finite_entry_rejected(self, cls, bad):
+        arr = np.full((2, 2), 0.5, dtype=complex)
+        arr[1, 0] = bad
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            cls(arr)
+
     def test_density_stack_hermiticity_is_relative_to_each_matrix(self):
         # a skew of 7e-13 is within 1e-12 of the stack's largest entry (1.0)
         # but not of the skewed matrix's own largest entry (0.5)

@@ -73,6 +73,14 @@ class TestProbabilities:
         with pytest.raises(ValidationError):
             probabilities(model, qutrit, [0.1])
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_point_rejected(self, theta):
+        model = unitary_family(PLUS, [half(PAULI_Z)])
+        with pytest.raises(ValidationError, match="not finite"):
+            probabilities(model, X_BASIS, [theta])
+        with pytest.raises(ValidationError, match="not finite"):
+            qfim(model, [theta])
+
     def test_roundoff_negatives_clipped_but_real_negativity_rejected(self):
         from qsense.model import ProbabilityVector
 
