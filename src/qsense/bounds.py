@@ -260,8 +260,8 @@ def weak_qcrb(nu, fisher: FisherMatrix, m: int = 1) -> WeakBound:
     if v.shape != (fisher.dim,):
         raise ValidationError(f"direction needs {fisher.dim} components, got shape {v.shape}")
     nsq = float(v @ v)
-    if nsq == 0.0:
-        raise ValidationError("direction vector must be nonzero")
+    if nsq == 0.0 or not np.isfinite(v).all():
+        raise ValidationError("direction vector must be finite and nonzero")
     if m < 1:
         raise ValidationError("repetition count m must be >= 1")
     den = float(v @ fisher.matrix @ v)

@@ -191,6 +191,8 @@ class WeightMatrix:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"weight matrix must be square, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError("weight matrix has a NaN or infinite entry")
         scale = max(float(np.abs(arr).max()), 1.0)
         if np.abs(arr - arr.T).max() > 1e-10 * scale:
             raise ValidationError("weight matrix is not symmetric")

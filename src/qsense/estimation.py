@@ -4,6 +4,11 @@ Randomness comes from counter-based Philox streams keyed by (seed, trial), so
 trials are reproducible and order-independent: running them in any order, or
 in parallel, yields identical records.
 
+A trial's multinomial tally is a sufficient statistic.  `_estimate_tallies`
+runs every log-likelihood product in padded blocks of one fixed shape, so an
+estimate depends on nothing but its tally: a saturation run estimates each
+distinct tally once, and `max_likelihood` gives the same bits for it.
+
 Maximum likelihood here and the Bayes posteriors in `bayes` share one
 log-likelihood core: the log of the probability table (`_log_table`) and the
 products counts @ log_table (`_loglik_nodes`).
@@ -65,20 +70,16 @@ def trial_generator(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_trial_key(seed, trial)))
 
 
-def _rewind(bit_generator: np.random.Philox, seed: int, trial: int) -> None:
+def _rewind(bit_generator: np.random.Philox, seed: int, trial: int) -> dict:
     """Set a Philox to the start of the (seed, trial) stream of `trial_generator`.
 
-    Reusing one Philox this way costs a few microseconds per trial; building
-    a new one costs ~16 us, several times a multinomial draw.
+    Returns the state dict it set, of lists (read faster than uint64 arrays).
+    A seed's streams differ only in ``["state"]["key"][1]``: rewrite it to rewind.
     """
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _trial_key(seed, trial)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    bit_generator.state = state = {
+        "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0, "state": {"counter": [0] * 4, "key": _trial_key(seed, trial).tolist()}}
+    return state
 
 
 def sample_outcomes(
@@ -100,8 +101,8 @@ def parameter_axes(box, resolution=GRID_RESOLUTION_DEFAULT) -> list[np.ndarray]:
         resolution = [resolution] * len(box)
     axes = []
     for (lo, hi), res in zip(box, resolution):
-        if hi <= lo or res < 3:
-            raise ValidationError("domain box must be nondegenerate with >= 3 grid points")
+        if not -np.inf < lo < hi < np.inf or res < 3:
+            raise ValidationError("domain box must be finite, nondegenerate, >= 3 grid points")
         axes.append(np.linspace(lo, hi, res))
     return axes
 
@@ -159,6 +160,21 @@ def _grid_argmax(ll: np.ndarray, axes):
     return theta, best, tied, refined
 
 
+def _estimate_tallies(tallies: np.ndarray, log_table: np.ndarray, axes):
+    """`_grid_argmax` of each row of ``tallies`` (rows, n_outcomes), in padded blocks.
+
+    Every counts @ log_table product has max(1, TRIAL_BLOCK_ENTRIES // nodes)
+    rows, the last block padded with zero tallies, so a row's estimate does
+    not depend on its block, its position in it, or how many rows there are.
+    """
+    block = max(1, TRIAL_BLOCK_ENTRIES // log_table[0].size)
+    padded = np.zeros((-(-len(tallies) // block) * block, tallies.shape[1]), dtype=np.int64)
+    padded[: len(tallies)] = tallies
+    parts = [_grid_argmax(_loglik_nodes(padded[i:i + block], log_table)[: len(tallies) - i], axes)
+             for i in range(0, len(tallies), block)]
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
 def max_likelihood(
     record: OutcomeRecord,
     model: ParametricModel,
@@ -176,8 +192,7 @@ def max_likelihood(
         )
     axes = parameter_axes(box, resolution)
     log_table = _log_table(probability_table(model, povm, axes))
-    ll = _loglik_nodes(record.counts, log_table)
-    theta, best, tied, refined = _grid_argmax(ll[None, :], axes)
+    theta, best, tied, refined = _estimate_tallies(record.counts[None, :], log_table, axes)
     if best[0] <= LOG_FLOOR * 0.5:
         raise NumericalError("likelihood vanishes everywhere on the grid")
     return EstimateRecord(theta[0], float(best[0]), bool(tied[0]), bool(refined[0]))
@@ -222,12 +237,12 @@ def saturation_report(
 ) -> SaturationReport:
     """Repeated sample-and-estimate rounds compared with the Cramer-Rao matrix.
 
-    Trial t draws its tallies from its own (seed, t)-keyed stream and is
-    estimated as in `max_likelihood` (grid argmax, tie flag, parabolic
-    refinement).  Trials are tallied in blocks of a fixed number of rows, at
-    most TRIAL_BLOCK_ENTRIES log-likelihood entries each, with one
-    counts @ log_table product per block; the last block is padded to the same
-    shape, so a trial's estimate does not depend on how many trials run.
+    Trial t draws its tally from its own (seed, t)-keyed stream, the stream of
+    `sample_outcomes(..., seed, trial=t)`.  The tally is sufficient for the
+    likelihood, so the distinct tallies of all trials are estimated once each,
+    as in `max_likelihood` (grid argmax, tie flag, parabolic refinement), in
+    the padded blocks of `_estimate_tallies`.  A trial's estimate depends on
+    nothing but its tally: not on the other trials, nor on how many run.
     """
     if trials < 100:
         raise ValidationError("need at least 100 trials for a saturation report")
@@ -238,29 +253,25 @@ def saturation_report(
     p_true = born_probabilities(information.state, povm).values
     axes = parameter_axes(box, resolution)
     log_table = _log_table(probability_table(model, povm, axes))
-    nodes = log_table[0].size
-    block = max(1, TRIAL_BLOCK_ENTRIES // nodes)
 
-    theta_hats = np.empty((trials, len(axes)))
-    logliks = np.empty(trials)
-    counts = np.zeros((block, len(p_true)), dtype=np.int64)
+    tallies = np.empty((trials, len(p_true)), dtype=np.int64)
     rng = trial_generator(seed)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        counts[stop - start:] = 0
-        for row, t in enumerate(range(start, stop)):
-            _rewind(rng.bit_generator, seed, t)
-            counts[row] = rng.multinomial(m, p_true)
-        ll = _loglik_nodes(counts, log_table)[: stop - start]
-        theta_hats[start:stop], logliks[start:stop], _, _ = _grid_argmax(ll, axes)
+    start = _rewind(rng.bit_generator, seed, 0)
+    for t in range(trials):
+        start["state"]["key"][1] = t
+        rng.bit_generator.state = start
+        tallies[t] = rng.multinomial(m, p_true)
+    distinct, which = np.unique(tallies, axis=0, return_inverse=True)
+    hats, logliks, _, _ = _estimate_tallies(distinct, log_table, axes)
+    theta_hats = hats[which]
 
     if csv_path is not None:
-        # one block in csv.writer's default dialect: comma-separated, "\r\n"-terminated
+        # one block in csv.writer's default dialect: comma-separated, "\r\n"-terminated;
+        # each distinct tally's text is formatted once
         header = ["trial"] + [f"theta_hat_{j + 1}" for j in range(len(theta))] + ["loglik"]
-        rows = "".join(
-            f"{t},{','.join(repr(x) for x in hats)},{loglik!r}\r\n"
-            for t, (hats, loglik) in enumerate(zip(theta_hats.tolist(), logliks.tolist()))
-        )
+        cells = [",".join(map(repr, row + [loglik])) + "\r\n"
+                 for row, loglik in zip(hats.tolist(), logliks.tolist())]
+        rows = "".join(f"{t},{cells[i]}" for t, i in enumerate(which.tolist()))
         with open(csv_path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n" + rows)
 

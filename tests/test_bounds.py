@@ -466,6 +466,12 @@ class TestWeakBound:
         wb = weak_qcrb([0.0, 1.0], f)
         assert math.isinf(wb.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        f = FisherMatrix(np.diag([1.0, 4.0]), "QFIM")
+        with pytest.raises(ValidationError, match="finite"):
+            weak_qcrb([1.0, bad], f)
+
     def test_weak_never_exceeds_exact_random(self):
         rng = np.random.default_rng(31)
         for _ in range(100):

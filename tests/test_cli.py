@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -127,9 +129,13 @@ class TestValidation:
         {"model": dict(QUBIT_MODEL, generators=[{"matrix": [[["OVERFLOW", 0.0], [0.0, 0.0]],
                                                              [[0.0, 0.0], [0.0, 0.0]]]}])},
         {"model": dict(QUBIT_MODEL, theta=["OVERFLOW"])},
+        {"scenario": "holevo", "model": XY,
+         "weight": {"matrix": [[1.0, "OVERFLOW"], ["OVERFLOW", 1.0]]}},
+        {"scenario": "simulate", "m": 50, "trials": 100, "domain": [[0.2, "OVERFLOW"]]},
+        {"model": dict(QUBIT_MODEL, theta=[1.0]), "nu": [["OVERFLOW"]]},
     ], ids=["nan-initial-state", "nan-initial-density", "nan-generator", "infinite-theta",
             "nan-direction", "nan-weight", "nan-domain", "overflow-generator",
-            "overflow-theta"])
+            "overflow-theta", "overflow-weight", "overflow-domain", "overflow-direction"])
     def test_non_finite_input_exits_2(self, cfg, tmp_path):
         cfg = {"scenario": "bounds", "model": QUBIT_MODEL, "povm": {"name": "x_basis"}} | cfg
         path = tmp_path / "nan.json"
@@ -526,6 +532,25 @@ class TestDeterminismAndSchema:
         assert a == b
         header = a.decode().splitlines()[0]
         assert header == "step,grid_index,weight"
+
+    def test_csv_bytes_pinned(self, tmp_path, monkeypatch):
+        # sha256 of the CSVs written before the trial loop estimated each distinct tally
+        # once; a change that moves a byte of a fixed-seed CSV must update these on purpose
+        demo = pathlib.Path(__file__).resolve().parents[1] / "demos/configs/qubit_simulate.json"
+        bayes = {
+            "scenario": "bayes", "model": QUBIT_MODEL, "povm": {"name": "x_basis"}, "m": 60,
+            "seed": 5, "domain": [[0.2, 2.9]], "grid_resolution": 101, "snapshot_every": 20,
+            "output": {"report": "bayes_report.json", "csv": "bayes_posterior.csv"},
+        }
+        monkeypatch.chdir(tmp_path)  # the demo config names relative output paths
+        assert run(str(demo), seed=16, quiet=True) == 0
+        assert run(write_config(tmp_path, "bayes.json", bayes), quiet=True) == 0
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("simulate_trials.csv", "bayes_posterior.csv")]
+        assert digests == [
+            "896b23ac2f506ef14fbfcb63f3ed51bdd29d7c808d15d29e53b3ebe66cba5468",
+            "562db2acfec17a964ff16b77bf5a76149f99dd947218344942fad8da7e09caa7",
+        ]
 
     def test_report_validates_and_echoes_inputs(self, tmp_path):
         cfg = {

@@ -73,6 +73,11 @@ class TestTypes:
         with pytest.raises(ValidationError, match="NaN or infinite"):
             cls(arr)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            WeightMatrix([[1.0, bad], [bad, 1.0]])
+
     def test_density_stack_hermiticity_is_relative_to_each_matrix(self):
         # a skew of 7e-13 is within 1e-12 of the stack's largest entry (1.0)
         # but not of the skewed matrix's own largest entry (0.5)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsense.core import (
     DensityMatrix,
@@ -12,8 +13,10 @@ from qsense.core import (
     tensor_product,
 )
 from qsense.estimation import (
+    TRIAL_BLOCK_ENTRIES,
     empirical_covariance,
     max_likelihood,
+    parameter_axes,
     sample_outcomes,
     saturation_report,
     trial_generator,
@@ -32,6 +35,41 @@ def half(op):
 
 def phase_model():
     return unitary_family(PLUS, [half(PAULI_Z)])
+
+
+def qutrit_phases_model():
+    """Two relative phases of an equal qutrit superposition, read in the Fourier basis."""
+    psi = np.ones(3) / np.sqrt(3)
+    gens = [HermitianOperator(np.diag(np.eye(3)[k])) for k in (1, 2)]
+    fourier = projective_measurement(
+        [np.exp(2j * np.pi * k * np.arange(3) / 3) / np.sqrt(3) for k in range(3)]
+    )
+    return unitary_family(DensityMatrix(np.outer(psi, psi).astype(complex)), gens), fourier
+
+
+def assert_matches_scalar_path(directory, model, povm, theta, m, trials, seed, box,
+                               resolution):
+    """Every trial's estimate and CSV row equal the one-trial path on its own stream.
+
+    Returns the number of distinct tallies among the trials.
+    """
+    path = directory / f"trials-{seed}-{m}-{trials}.csv"
+    report = saturation_report(model, povm, theta, m=m, trials=trials, seed=seed, box=box,
+                               resolution=resolution, csv_path=path)
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == trials
+    scalar = {}  # max_likelihood of each distinct tally, a pure function of the tally
+    for t, row in enumerate(rows):
+        record = sample_outcomes(model, povm, theta, m, seed, trial=t)
+        key = tuple(record.counts.tolist())
+        if key not in scalar:
+            scalar[key] = max_likelihood(record, model, povm, box, resolution)
+        est = scalar[key]
+        assert np.array_equal(report.theta_hats[t], est.theta_hat)
+        assert row == ",".join(
+            [str(t)] + [repr(x) for x in est.theta_hat.tolist()] + [repr(est.log_likelihood)]
+        )
+    return len(scalar)
 
 
 class TestSampling:
@@ -114,6 +152,12 @@ class TestMaxLikelihood:
         est = max_likelihood(record, phase_model(), flat_povm, [(0.2, 2.0)], 51)
         assert est.tied
         assert est.theta_hat[0] == 0.2  # lowest grid index
+
+    @pytest.mark.parametrize("box", [[(np.nan, 1.0)], [(0.0, np.inf)], [(-np.inf, 1.0)],
+                                     [(0.0, 1.0), (np.nan, np.nan)]])
+    def test_non_finite_domain_rejected(self, box):
+        with pytest.raises(ValidationError, match="finite"):
+            parameter_axes(box, 5)
 
     def test_grid_dimension_cap(self):
         gens = [
@@ -239,6 +283,37 @@ class TestSaturationReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "trial,theta_hat_1,loglik"
         assert len(lines) == report.trials + 1
+
+    def test_repeated_tallies_match_scalar_path(self, tmp_path):
+        distinct = assert_matches_scalar_path(
+            tmp_path, phase_model(), X_BASIS, [1.0], m=12, trials=400, seed=6,
+            box=[(0.2, 2.9)], resolution=2001,
+        )
+        assert distinct <= 13 < 400  # heavy repetition: at most m + 1 tallies
+
+    def test_two_parameter_qutrit_matches_scalar_path(self, tmp_path):
+        model, fourier = qutrit_phases_model()
+        distinct = assert_matches_scalar_path(
+            tmp_path, model, fourier, [0.8, 1.1], m=300, trials=150, seed=13,
+            box=[(0.3, 1.5), (0.3, 1.5)], resolution=41,
+        )
+        assert 1 < distinct < 150
+
+    def test_one_row_blocks_match_scalar_path(self, tmp_path):
+        # more nodes than TRIAL_BLOCK_ENTRIES: every log-likelihood block holds one tally
+        assert_matches_scalar_path(
+            tmp_path, phase_model(), X_BASIS, [1.0], m=5, trials=100, seed=8,
+            box=[(0.2, 2.9)], resolution=TRIAL_BLOCK_ENTRIES + 1,
+        )
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), m=st.integers(5, 60),
+           trials=st.integers(100, 300))
+    def test_any_run_matches_scalar_path(self, tmp_path_factory, seed, m, trials):
+        assert_matches_scalar_path(
+            tmp_path_factory.mktemp("trials"), phase_model(), X_BASIS, [1.0], m=m,
+            trials=trials, seed=seed, box=[(0.2, 2.9)], resolution=201,
+        )
 
     def test_estimator_consistency_in_m(self):
         medians = []
