@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .core import (
     SparseMultimodeState,
     ValidationError,
     WeightMatrix,
-    spanned_sector,
 )
 from .model import (
     ParametricModel, UnitaryEncoding, _check_theta, born_probabilities, state_derivatives,
@@ -183,23 +182,17 @@ def qfim(model: ParametricModel, theta) -> QfimResult:
     return QfimResult(fisher, slds, g, _incompatibility_ratio(fisher, g), rho, derivs)
 
 
-def qfim_pure(
-    state: SparseMultimodeState,
-    generators: Sequence[Callable[[tuple[int, ...]], float]],
-    theta=None,
-) -> FisherMatrix:
-    """QFIM of a pure sparse state: 4x the covariance of the diagonal generators.
+def qfim_pure(state: SparseMultimodeState, generators: np.ndarray) -> FisherMatrix:
+    """QFIM of a pure sparse state: 4x the covariance of h_j = sum_m C[m, j] n_m under |a|^2.
 
-    Valid for encodings diagonal in the Fock basis (commuting generators);
-    the phases applied by the encoding drop out of |amplitude|^2, so theta is
-    accepted for interface symmetry but does not affect the result.
+    ``generators`` is C (modes x parameters).  Valid for encodings diagonal in the Fock
+    basis (commuting generators); the encoding phases drop out of |amplitude|^2.
     """
-    del theta
-    keys = spanned_sector(state)
-    if not keys:
-        raise ValidationError("state has no support")
-    w = np.array([abs(state.amplitudes[n]) ** 2 for n in keys])
-    h = np.array([[float(g(n)) for n in keys] for g in generators])
+    c = np.asarray(generators, dtype=float)
+    if c.shape[:1] != (state.basis.modes,):
+        raise ValidationError(f"generator matrix of shape {c.shape} needs one row per mode")
+    w = state.weights
+    h = np.einsum("nm,mj->jn", state.occupations, c, order="C")  # (parameters x support)
     mean = h @ w
     second = (h * w) @ h.T
     f = 4.0 * (second - np.outer(mean, mean))

@@ -84,28 +84,26 @@ def _load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-class _CheckedValidator:
+class _CachedValidator:
     """Stands in for a validator class in `jsonschema.validate(..., cls=...)`.
 
-    The schema is checked against its meta-schema once, when this is built,
-    and the one validator built from it is reused for every instance.
+    The one validator built from the schema is reused for every instance.  The
+    shipped schemas are checked against their meta-schema by the test suite, not here.
     """
 
     def __init__(self, schema: dict):
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        self._validator = cls(schema)
+        self._validator = jsonschema.validators.validator_for(schema)(schema)
 
     def check_schema(self, schema: dict) -> None:
-        """Already checked when built."""
+        """Not checked at run time."""
 
     def __call__(self, schema: dict):
         return self._validator
 
 
 @functools.cache
-def _validator(name: str) -> _CheckedValidator:
-    return _CheckedValidator(_load_schema(name))
+def _validator(name: str) -> _CachedValidator:
+    return _CachedValidator(_load_schema(name))
 
 
 def _validate(instance, name: str) -> None:

@@ -1,19 +1,16 @@
 """Core quantum-state types and the linear-algebra plumbing shared by all modules.
 
 Dense operators are thin validated wrappers around complex numpy arrays and are
-capped at a few hundred dimensions.  Multimode photonic states are stored
-sparsely as occupation-tuple -> amplitude maps and densified only on the sector
-they actually span; a Fock basis checks membership arithmetically and never
-lists its tuples.  All types are immutable after construction.
+capped at a few hundred dimensions.  A multimode photonic pure state is two
+arrays: integer occupation rows (support x modes) in lexicographic order, and
+their nonzero complex amplitudes; it is densified only on those rows.  A Fock
+basis is its mode and particle counts.  All types are immutable after construction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -229,18 +226,21 @@ class WeightMatrix:
 # Fock space
 
 
-def fock_sector(modes: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Every occupation tuple of `modes` modes holding `total` particles, lexicographically."""
-    # stars and bars: bar positions in lexicographic order give tuples in that order
-    slots = total + modes - 1
-    for bars in itertools.combinations(range(slots), modes - 1):
-        edges = (-1, *bars, slots)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+def fock_sector(modes: int, total: int) -> np.ndarray:
+    """Every occupation row of `modes` modes holding `total` particles, lexicographically."""
+    # one column at a time: a row's next entry runs over 0..(particles it has left)
+    rows, left = np.zeros((1, 0), dtype=np.int32), np.array([total])
+    for _ in range(modes - 1):
+        counts = left + 1
+        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack((np.repeat(rows, counts, axis=0), k.astype(np.int32)))
+        left = np.repeat(left, counts) - k
+    return np.column_stack((rows, left.astype(np.int32)))
 
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation tuples of a fixed particle number, checked arithmetically, never listed."""
+    """Occupations of a fixed particle number: mode and particle counts, never listed."""
 
     modes: int
     total_particles: int
@@ -255,33 +255,43 @@ class FockBasis:
     def size(self) -> int:
         return math.comb(self.total_particles + self.modes - 1, self.modes - 1)
 
-    def __contains__(self, occupation) -> bool:
-        occ = tuple(occupation)
-        valid = len(occ) == self.modes and all(k >= 0 and k == int(k) for k in occ)
-        return valid and sum(occ) == self.total_particles
-
 
 @dataclass(frozen=True)
 class SparseMultimodeState:
-    """Normalised pure state stored as occupation-tuple -> complex amplitude."""
+    """Normalised pure state: strictly increasing occupation rows and their amplitudes.
+
+    Rows of zero amplitude are dropped; ``weights`` is |amplitude|^2.  Arrays are made read-only.
+    """
 
     basis: FockBasis
-    amplitudes: Mapping[tuple[int, ...], complex]
+    occupations: np.ndarray
+    amplitudes: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        amps = {}
-        for key, value in self.amplitudes.items():
-            key = tuple(int(k) for k in key)
-            if key not in self.basis:
-                raise ValidationError(f"occupation {key} does not belong to the basis")
-            amps[key] = complex(value)
-        norm2 = sum(abs(a) ** 2 for a in amps.values())
-        if abs(norm2 - 1.0) > STATE_NORM_TOL:
+        occ = np.asarray(self.occupations)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if occ.ndim != 2 or occ.shape[1] != self.basis.modes or occ.dtype.kind != "i":
+            raise ValidationError(f"{occ.dtype} occupation array of shape {occ.shape} does not "
+                                  f"belong to the basis of {self.basis.modes} modes")
+        if amps.shape != occ.shape[:1]:
+            raise ValidationError(f"{amps.shape} amplitudes for {len(occ)} occupation rows")
+        foreign = (occ < 0).any(axis=1) | (occ.sum(axis=1) != self.basis.total_particles)
+        if foreign.any():
+            row = tuple(occ[foreign.argmax()].tolist())
+            raise ValidationError(f"occupation {row} does not belong to the basis")
+        step = np.diff(occ, axis=0)
+        if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+            raise ValidationError("occupation rows are not in increasing lexicographic order")
+        if not amps.all():
+            occ, amps = occ[amps != 0], amps[amps != 0]
+        # pow(|a|, 2.0) per entry, as Python's abs(a) ** 2; a scalar exponent 2 squares instead
+        weights = np.float_power(np.abs(amps), np.full(len(amps), 2.0))
+        norm2 = float(weights.sum())
+        if not abs(norm2 - 1.0) <= STATE_NORM_TOL:  # a NaN or infinite amplitude fails too
             raise ValidationError(f"state norm^2 = {norm2} deviates from 1")
-        object.__setattr__(self, "amplitudes", MappingProxyType(amps))
-
-    def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
+        for name, value in (("occupations", occ), ("amplitudes", amps), ("weights", weights)):
+            object.__setattr__(self, name, _frozen(value))
 
 
 # ---------------------------------------------------------------------------
@@ -333,39 +343,15 @@ def spectral_decomposition(h) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def spanned_sector(state: SparseMultimodeState) -> tuple[tuple[int, ...], ...]:
-    """Occupations with nonzero amplitude, in basis (lexicographic) order."""
-    return tuple(sorted(n for n, a in state.amplitudes.items() if abs(a) > 0.0))
-
-
 def density_from_pure(
-    state: SparseMultimodeState, sector=None, *, max_dim: int = DENSE_DIMENSION_CAP
+    state: SparseMultimodeState, *, max_dim: int = DENSE_DIMENSION_CAP
 ) -> DensityMatrix:
-    """Rank-one density matrix of a sparse pure state on its spanned sector."""
-    if not any(abs(a) > 0.0 for a in state.amplitudes.values()):
-        raise ValidationError("empty amplitude map")
-    sector = spanned_sector(state) if sector is None else tuple(tuple(n) for n in sector)
-    if len(sector) > max_dim:
+    """Rank-one density matrix of a sparse pure state on the rows it holds, in their order."""
+    if len(state.amplitudes) > max_dim:
         raise ValidationError(
-            f"sector dimension {len(sector)} exceeds the dense dimension cap ({max_dim})"
+            f"sector dimension {len(state.amplitudes)} exceeds the dense dimension cap ({max_dim})"
         )
-    pos = {n: i for i, n in enumerate(sector)}
-    vec = np.zeros(len(sector), dtype=complex)
-    for occ, amp in state.amplitudes.items():
-        if abs(amp) == 0.0:
-            continue
-        if occ not in pos:
-            raise ValidationError(f"state has amplitude on {occ}, outside the requested sector")
-        vec[pos[occ]] = amp
-    return DensityMatrix(np.outer(vec, vec.conj()))
-
-
-def diagonal_operator(
-    fn: Callable[[tuple[int, ...]], float], sector
-) -> HermitianOperator:
-    """Dense matrix of an occupation-diagonal observable on a sector."""
-    values = [float(fn(tuple(n))) for n in sector]
-    return HermitianOperator(np.diag(np.asarray(values, dtype=complex)))
+    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
 def projective_measurement(vectors) -> POVM:

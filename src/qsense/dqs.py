@@ -23,10 +23,8 @@ Probe families (local reference unless noted):
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -117,6 +115,11 @@ class ProbeSpec:
                 f"{self.family} probe would hold {self.support_size} amplitudes, more than "
                 f"the probe support cap ({PROBE_SUPPORT_CAP})"
             )
+        net, n_t = self.network, self.network.total_particles  # MSPS, MEPS: sqrt(w) / modes^(N/2)
+        n, modes = (net.particles, 2) if self.family == "MSPS" else (n_t, net.modes)
+        if self.family in ("MSPS", "MEPS") and not _largest_weight_is_a_float(n, modes):
+            raise ValidationError(f"{self.family} probe of {n} particles over {modes} modes: "
+                                  "its largest multinomial weight exceeds the float range")
 
     @property
     def support_size(self) -> int:
@@ -130,14 +133,28 @@ class ProbeSpec:
         }.get(self.family, net.sensors + 1)
 
 
-def phase_generators(network: SensorNetwork) -> list[Callable[[tuple[int, ...]], float]]:
-    """Occupation-diagonal encoding generators, one per sensor."""
+def _largest_weight_is_a_float(n: int, modes: int) -> bool:
+    """Whether n!/prod(k_i!), largest at the most even split over `modes`, converts to float."""
+    q, r = divmod(n, modes)
+    nats = math.lgamma(n + 1) - r * math.lgamma(q + 2) - (modes - r) * math.lgamma(q + 1)
+    if abs(nats - 1024 * math.log(2)) > 1:  # lgamma is far better than that; exact near the edge
+        return nats < 1024 * math.log(2)
+    weight = math.factorial(n) // (math.factorial(q + 1) ** r * math.factorial(q) ** (modes - r))
+    return weight < 2**1024 - 2**970  # the least integer that float() rounds up to 2**1024
+
+
+def phase_generators(network: SensorNetwork) -> np.ndarray:
+    """Coefficients C (modes x sensors) of the generators h_j = sum_m C[m, j] n_m, one per sensor.
+
+    h_j is (n_2j - n_2j+1)/2 for a local reference and n_j+1 for a global one.
+    """
+    c = np.zeros((network.modes, network.sensors))
+    j = np.arange(network.sensors)
     if network.reference == LOCAL:
-        return [
-            (lambda n, j=j: 0.5 * (n[2 * j] - n[2 * j + 1]))
-            for j in range(network.sensors)
-        ]
-    return [(lambda n, j=j: float(n[j])) for j in range(1, network.sensors + 1)]
+        c[2 * j, j], c[2 * j + 1, j] = 0.5, -0.5
+    else:
+        c[j + 1, j] = 1.0
+    return c
 
 
 def nu_average(d: int) -> np.ndarray:
@@ -145,47 +162,54 @@ def nu_average(d: int) -> np.ndarray:
     return np.full(d, 1.0 / d)
 
 
+def _kronecker(rows: np.ndarray, amps: list[float], sensors: int):
+    """Rows and amplitudes of a product of per-sensor factors; sensor 0 varies slowest."""
+    k = len(rows)
+    occ = np.empty((k**sensors, 2 * sensors), dtype=np.int32)
+    product = np.ones(1)
+    for j in range(sensors):  # one column block per sensor, written through a broadcast view
+        occ.reshape(k**j, k, k ** (sensors - 1 - j), -1)[..., 2 * j:2 * j + 2] = rows[:, None, :]
+        product = np.multiply.outer(product, amps).ravel()
+    return occ, product
+
+
+def _multinomial_amplitudes(occ: np.ndarray, n_t: int) -> np.ndarray:
+    """sqrt(N_T!/prod k_i!)/modes^(N_T/2) per row, the exact weight taken once per partition."""
+    parts = np.sort(occ, axis=1)  # the weight depends only on the sorted row
+    order = np.lexsort(parts.T)
+    parts = parts[order]
+    first = np.r_[True, (parts[1:] != parts[:-1]).any(axis=1)]
+    which = np.empty(len(occ), dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    return np.array([
+        math.sqrt(math.factorial(n_t) // math.prod(math.factorial(k) for k in part))
+        / occ.shape[1] ** (n_t / 2.0)
+        for part in parts[first].tolist()
+    ])[which]
+
+
 def build_probe(spec: ProbeSpec) -> SparseMultimodeState:
     """Construct the probe state of a family on its network, exactly normalised."""
     net = spec.network
-    d, n = net.sensors, net.particles
-    basis = FockBasis(net.modes, net.total_particles)
-    amps: dict[tuple[int, ...], complex] = {}
+    d, n, n_t = net.sensors, net.particles, net.total_particles
 
-    if spec.family in ("MSPS", "MSPE"):
-        if spec.family == "MSPS":  # N particles, each in (a + b)/sqrt(2): binomial amplitudes
-            per_sensor = [((k, n - k), math.sqrt(math.comb(n, k)) / 2 ** (n / 2.0))
-                          for k in range(n + 1)]
-        else:  # a NOON state per sensor
-            per_sensor = [((n, 0), 1.0 / math.sqrt(2.0)), ((0, n), 1.0 / math.sqrt(2.0))]
-        for combo in itertools.product(per_sensor, repeat=d):
-            amps[tuple(x for pair, _ in combo for x in pair)] = math.prod(a for _, a in combo)
-
-    elif spec.family == "MEPS":
-        # N_T particles, each in the uniform superposition over all 2d modes
-        n_t = net.total_particles
-        for occ in fock_sector(net.modes, n_t):
-            multinom = math.factorial(n_t) // math.prod(math.factorial(k) for k in occ)
-            amps[occ] = math.sqrt(multinom) / net.modes ** (n_t / 2.0)
-
+    if spec.family == "MSPS":  # N particles, each in (a + b)/sqrt(2): binomial amplitudes
+        factor = [math.sqrt(math.comb(n, k)) / 2 ** (n / 2.0) for k in range(n + 1)]
+        occ, amps = _kronecker(np.array([[k, n - k] for k in range(n + 1)]), factor, d)
+    elif spec.family == "MSPE":  # a NOON state per sensor
+        occ, amps = _kronecker(np.array([[0, n], [n, 0]]), [1.0 / math.sqrt(2.0)] * 2, d)
+    elif spec.family == "MEPS":  # N_T particles, each uniform over all 2d modes
+        occ = fock_sector(net.modes, n_t)
+        amps = _multinomial_amplitudes(occ, n_t)
     elif spec.family == "MEPE":
-        signs = spec.signs or (1,) * d
-        up = tuple(x for s in signs for x in ((n, 0) if s > 0 else (0, n)))
-        down = tuple(x for s in signs for x in ((0, n) if s > 0 else (n, 0)))
-        amps[up] = 1.0 / math.sqrt(2.0)
-        amps[down] = 1.0 / math.sqrt(2.0)
+        signs = np.array(spec.signs or (1,) * d)
+        up = np.column_stack((signs > 0, signs < 0)).ravel() * n
+        occ, amps = sorted((up.tolist(), (n - up).tolist())), [1.0 / math.sqrt(2.0)] * 2
+    else:  # GENERALIZED_NOON: one branch per sensing mode, then the reference-mode head
+        occ = n_t * np.eye(d + 1, dtype=np.int32)[::-1]
+        amps = [1.0 / math.sqrt(d + math.sqrt(d))] * d + [1.0 / math.sqrt(1.0 + math.sqrt(d))]
 
-    else:  # GENERALIZED_NOON
-        n_t = net.total_particles
-        head = 1.0 / math.sqrt(1.0 + math.sqrt(d))
-        tail = 1.0 / math.sqrt(d + math.sqrt(d))
-        occ0 = (n_t,) + (0,) * d
-        amps[occ0] = head
-        for j in range(1, d + 1):
-            occ = tuple(n_t if i == j else 0 for i in range(d + 1))
-            amps[occ] = tail
-
-    return SparseMultimodeState(basis, amps)
+    return SparseMultimodeState(FockBasis(net.modes, n_t), occ, amps)
 
 
 def _matches(nu: np.ndarray, target: np.ndarray, atol: float = 1e-12) -> bool:
@@ -229,10 +253,10 @@ def closed_form_sensitivity(spec: ProbeSpec, nu, m: int = 1) -> float:
 
 
 def probe_to_json(state: SparseMultimodeState) -> dict[str, list[float]]:
-    """Serialise a probe as occupation string -> [re, im] amplitude pairs."""
+    """Serialise a probe as occupation string -> [re, im] amplitude pairs, in row order."""
     return {
-        ",".join(str(k) for k in occ): [amp.real, amp.imag]
-        for occ, amp in sorted(state.amplitudes.items())
+        ",".join(map(str, occ)): [amp.real, amp.imag]
+        for occ, amp in zip(state.occupations.tolist(), state.amplitudes.tolist())
     }
 
 
@@ -244,8 +268,8 @@ def gain(nu) -> float:
     """
     v = np.abs(np.atleast_1d(np.asarray(nu, dtype=float)))
     total = v.sum()
-    if total == 0.0:
-        raise ValidationError("direction vector must be nonzero")
+    if total == 0.0 or not np.isfinite(v).all():
+        raise ValidationError("direction vector must be finite and nonzero")
     return float(np.power(v, 2.0 / 3.0).sum() ** 3 / total**2)
 
 
@@ -279,8 +303,8 @@ def check_direction(spec: ProbeSpec, fisher: FisherMatrix, nu, m: int = 1) -> Pr
     v = np.atleast_1d(np.asarray(nu, dtype=float))
     if v.shape != (fisher.dim,):
         raise ValidationError(f"direction needs {fisher.dim} components, got shape {v.shape}")
-    if not v.any():
-        raise ValidationError("direction vector must be nonzero")
+    if not v.any() or not np.isfinite(v).all():
+        raise ValidationError("direction vector must be finite and nonzero")
     leak = float(np.linalg.norm(v - fisher.support @ v)) / float(np.linalg.norm(v))
     if leak > 1e-8:
         return ProbeCheck(None, None, None, True, fisher)

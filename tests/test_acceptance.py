@@ -17,10 +17,7 @@ from qsense.core import (
     PAULI_Z,
     POVM,
     WeightMatrix,
-    density_from_pure,
-    diagonal_operator,
     projective_measurement,
-    spanned_sector,
 )
 from qsense.bounds import classical_fim, qfim, qfim_pure, saturation_checks, scalar_bound
 from qsense.holevo import holevo_bound
@@ -45,6 +42,7 @@ from qsense.bayes import (
     uniform_prior,
 )
 from qsense.cli import run
+from probe_oracle import dense_model
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -290,17 +288,13 @@ def _dqs_curvature_checks():
     for family, d, n in cases:
         spec = ProbeSpec(family, local_sensor_network(d, n))
         probe = build_probe(spec)
-        sector = spanned_sector(probe)
-        gens = [diagonal_operator(g, sector) for g in phase_generators(spec.network)]
-        model = unitary_family(density_from_pure(probe, sector), gens)
+        model = dense_model(probe, phase_generators(spec.network))
         checks = saturation_checks(model, np.zeros(d))
         out[(family, d, n)] = (checks.g_q_max, checks.weak_commutativity_holds)
     for d, n_t in [(2, 2), (3, 3)]:
         spec = ProbeSpec("GENERALIZED_NOON", global_sensor_network(d, n_t))
         probe = build_probe(spec)
-        sector = spanned_sector(probe)
-        gens = [diagonal_operator(g, sector) for g in phase_generators(spec.network)]
-        model = unitary_family(density_from_pure(probe, sector), gens)
+        model = dense_model(probe, phase_generators(spec.network))
         checks = saturation_checks(model, np.zeros(d))
         out[("GENERALIZED_NOON", d, n_t)] = (checks.g_q_max, checks.weak_commutativity_holds)
     return out

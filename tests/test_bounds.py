@@ -18,11 +18,8 @@ from qsense.core import (
     SparseMultimodeState,
     ValidationError,
     WeightMatrix,
-    density_from_pure,
-    diagonal_operator,
     identity,
     projective_measurement,
-    spanned_sector,
     tensor_product,
 )
 from qsense.bounds import (
@@ -40,6 +37,10 @@ from qsense.bounds import (
     weak_qcrb,
 )
 from qsense.model import explicit_model, probabilities, unitary_family
+from probe_oracle import dense_model
+
+HALF_DIFFERENCE = [[0.5], [-0.5]]  # (n_0 - n_1)/2 on a mode pair
+TWO_PAIRS = [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]  # one half-difference per pair
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
 ZERO = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -92,11 +93,8 @@ def coin_model():
 def noon_sector_model(n):
     basis = FockBasis(2, n)
     amp = 1 / math.sqrt(2)
-    state = SparseMultimodeState(basis, {(n, 0): amp, (0, n): amp})
-    sector = spanned_sector(state)
-    rho = density_from_pure(state, sector)
-    gen = diagonal_operator(lambda occ: 0.5 * (occ[0] - occ[1]), sector)
-    return unitary_family(rho, [gen]), state
+    state = SparseMultimodeState(basis, [(0, n), (n, 0)], [amp, amp])
+    return dense_model(state, HALF_DIFFERENCE), state
 
 
 def random_density(rng, dim):
@@ -240,7 +238,7 @@ class TestQfim:
             model, state = noon_sector_model(n)
             res = qfim(model, [0.0])
             assert abs(res.qfim.matrix[0, 0] - n**2) < 1e-9
-            sparse = qfim_pure(state, [lambda occ: 0.5 * (occ[0] - occ[1])])
+            sparse = qfim_pure(state, HALF_DIFFERENCE)
             assert abs(sparse.matrix[0, 0] - n**2) < 1e-12
 
     def test_single_parameter_has_no_curvature(self):
@@ -286,20 +284,21 @@ class TestQfim:
 class TestQfimPure:
     def test_generator_eigenstate_zero_information(self):
         basis = FockBasis(2, 2)
-        state = SparseMultimodeState(basis, {(2, 0): 1.0})
-        f = qfim_pure(state, [lambda occ: 0.5 * (occ[0] - occ[1])])
+        state = SparseMultimodeState(basis, [(2, 0)], [1.0])
+        f = qfim_pure(state, HALF_DIFFERENCE)
         assert abs(f.matrix[0, 0]) < 1e-14
+
+    def test_generator_matrix_needs_one_row_per_mode(self):
+        state = SparseMultimodeState(FockBasis(2, 2), [(2, 0)], [1.0])
+        with pytest.raises(ValidationError, match="one row per mode"):
+            qfim_pure(state, TWO_PAIRS)
 
     def test_all_to_nothing_probe_rank_one(self):
         # d=2, N=2 all-or-nothing probe: rank-1 QFIM, average direction 1/16
         basis = FockBasis(4, 4)
         amp = 1 / math.sqrt(2)
-        state = SparseMultimodeState(basis, {(2, 0, 2, 0): amp, (0, 2, 0, 2): amp})
-        gens = [
-            lambda occ: 0.5 * (occ[0] - occ[1]),
-            lambda occ: 0.5 * (occ[2] - occ[3]),
-        ]
-        f = qfim_pure(state, gens)
+        state = SparseMultimodeState(basis, [(0, 2, 0, 2), (2, 0, 2, 0)], [amp, amp])
+        f = qfim_pure(state, TWO_PAIRS)
         assert f.rank == 1
         nu_ave = np.array([0.5, 0.5])
         value = nu_ave @ pseudo_inverse(f).matrix @ nu_ave
@@ -308,36 +307,17 @@ class TestQfimPure:
     def test_product_of_noon_states_diagonal(self):
         # d=2, N=3 product probe: diag(9, 9)
         basis = FockBasis(4, 6)
-        amp = 0.5
-        amps = {
-            (3, 0, 3, 0): amp,
-            (3, 0, 0, 3): amp,
-            (0, 3, 3, 0): amp,
-            (0, 3, 0, 3): amp,
-        }
-        state = SparseMultimodeState(basis, amps)
-        gens = [
-            lambda occ: 0.5 * (occ[0] - occ[1]),
-            lambda occ: 0.5 * (occ[2] - occ[3]),
-        ]
-        f = qfim_pure(state, gens)
+        rows = [(0, 3, 0, 3), (0, 3, 3, 0), (3, 0, 0, 3), (3, 0, 3, 0)]
+        state = SparseMultimodeState(basis, rows, [0.5] * 4)
+        f = qfim_pure(state, TWO_PAIRS)
         assert np.abs(f.matrix - np.diag([9.0, 9.0])).max() < 1e-12
 
     def test_agrees_with_density_matrix_route(self):
         basis = FockBasis(4, 2)
         amp = 1 / math.sqrt(2)
-        state = SparseMultimodeState(basis, {(1, 0, 1, 0): amp, (0, 1, 0, 1): amp})
-        gens = [
-            lambda occ: 0.5 * (occ[0] - occ[1]),
-            lambda occ: 0.5 * (occ[2] - occ[3]),
-        ]
-        sparse = qfim_pure(state, gens)
-        sector = spanned_sector(state)
-        dense_model = unitary_family(
-            density_from_pure(state, sector),
-            [diagonal_operator(g, sector) for g in gens],
-        )
-        dense = qfim(dense_model, [0.0, 0.0]).qfim
+        state = SparseMultimodeState(basis, [(0, 1, 0, 1), (1, 0, 1, 0)], [amp, amp])
+        sparse = qfim_pure(state, TWO_PAIRS)
+        dense = qfim(dense_model(state, TWO_PAIRS), [0.0, 0.0]).qfim
         assert np.abs(sparse.matrix - dense.matrix).max() < 1e-8
 
     def test_dense_variant_matches_sld_route_for_noncommuting(self):

@@ -20,20 +20,19 @@ from qsense.core import (
     WeightMatrix,
     check_density_matrices,
     density_from_pure,
-    diagonal_operator,
     fock_sector,
     identity,
     projective_measurement,
-    spanned_sector,
     spectral_decomposition,
     tensor_product,
 )
+from probe_oracle import tuple_sector
 
 
 def noon_state(n):
     basis = FockBasis(2, n)
     amp = 1.0 / math.sqrt(2.0)
-    return SparseMultimodeState(basis, {(n, 0): amp, (0, n): amp})
+    return SparseMultimodeState(basis, [(0, n), (n, 0)], [amp, amp])
 
 
 class TestTypes:
@@ -110,12 +109,23 @@ class TestTypes:
     def test_state_normalisation_enforced(self):
         basis = FockBasis(2, 1)
         with pytest.raises(ValidationError):
-            SparseMultimodeState(basis, {(1, 0): 0.5})
+            SparseMultimodeState(basis, [(1, 0)], [0.5])
 
     def test_state_keys_must_live_in_basis(self):
         basis = FockBasis(2, 1)
         with pytest.raises(ValidationError):
-            SparseMultimodeState(basis, {(2, 0): 1.0})
+            SparseMultimodeState(basis, [(2, 0)], [1.0])
+
+    def test_state_rows_must_be_integers_with_one_amplitude_each(self):
+        basis = FockBasis(2, 1)
+        with pytest.raises(ValidationError, match="does not belong"):
+            SparseMultimodeState(basis, [(1.0, 0.0)], [1.0])
+        with pytest.raises(ValidationError, match="does not belong"):  # would wrap in the order check
+            SparseMultimodeState(basis, np.array([(1, 0), (0, 1)], dtype=np.uint8), [0.6, 0.8])
+        with pytest.raises(ValidationError, match="amplitudes for 1 occupation rows"):
+            SparseMultimodeState(basis, [(1, 0)], [0.6, 0.8])
+        with pytest.raises(ValidationError, match="deviates from 1"):
+            SparseMultimodeState(basis, [(0, 1), (1, 0)], [np.nan, 1.0])
 
 
 class TestDensityMatrixSpectrum:
@@ -188,15 +198,17 @@ class TestSpectralDecomposition:
 class TestDensityFromPure:
     def test_vacuum_projector(self):
         basis = FockBasis(3, 0)
-        state = SparseMultimodeState(basis, {(0, 0, 0): 1.0})
+        state = SparseMultimodeState(basis, [(0, 0, 0)], [1.0])
         rho = density_from_pure(state)
         assert rho.dim == 1 and abs(rho.entries[0, 0] - 1.0) < 1e-15
 
     def test_basis_state_on_explicit_sector(self):
+        # given on the whole sector, the state keeps only its nonzero row
         basis = FockBasis(2, 1)
-        state = SparseMultimodeState(basis, {(0, 1): 1.0})
-        rho = density_from_pure(state, sector=fock_sector(2, 1))
-        assert np.allclose(rho.entries, np.diag([1.0, 0.0]))
+        state = SparseMultimodeState(basis, fock_sector(2, 1), [1.0, 0.0])
+        assert state.occupations.tolist() == [[0, 1]]
+        rho = density_from_pure(state)
+        assert np.allclose(rho.entries, [[1.0]])
 
     def test_two_term_state_is_rank_one(self):
         rho = density_from_pure(noon_state(2))
@@ -210,19 +222,17 @@ class TestDensityFromPure:
         for _ in range(5):
             amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
             amps /= np.linalg.norm(amps)
-            state = SparseMultimodeState(basis, dict(zip(fock_sector(3, 3), amps)))
+            state = SparseMultimodeState(basis, fock_sector(3, 3), amps)
             assert abs(density_from_pure(state).purity() - 1.0) < 1e-12
 
     def test_sector_and_vector_helpers(self):
         state = noon_state(2)
-        sector = spanned_sector(state)
-        assert sector == ((0, 2), (2, 0))
-        rho = density_from_pure(state, sector)
+        assert state.occupations.tolist() == [[0, 2], [2, 0]]
+        rho = density_from_pure(state)
         assert np.allclose(np.abs(rho.entries), 0.5)
-        with pytest.raises(ValidationError, match="outside the requested sector"):
-            density_from_pure(state, sector[:1])
-        op = diagonal_operator(lambda n: 0.5 * (n[0] - n[1]), sector)
-        assert np.allclose(np.diag(op.entries).real, [-1.0, 1.0])
+        with pytest.raises(ValidationError, match="dense dimension cap"):
+            density_from_pure(state, max_dim=1)
+        assert np.allclose(state.occupations @ [0.5, -0.5], [-1.0, 1.0])
 
 
 def occupations_near(modes, total):
@@ -243,7 +253,7 @@ class TestFockBasis:
         assert count == FockBasis(modes, total).size
 
     def test_lexicographic_and_distinct(self):
-        occ = tuple(fock_sector(3, 4))
+        occ = [tuple(row) for row in fock_sector(3, 4).tolist()]
         assert len(set(occ)) == len(occ)
         assert list(occ) == sorted(occ)
         assert all(sum(n) == 4 for n in occ)
@@ -254,15 +264,27 @@ class TestFockBasis:
         basis = FockBasis(12, 40)
         assert basis.size == math.comb(51, 11)
         assert not hasattr(basis, "occupations")
-        assert (40,) + (0,) * 11 in basis
+        assert SparseMultimodeState(basis, [(40,) + (0,) * 11], [1.0]).occupations.shape == (1, 12)
 
     @FOCK_SETTINGS
     @given(data=st.data(), **SECTORS)
     def test_membership_matches_enumeration(self, data, modes, total):
         basis = FockBasis(modes, total)
-        sector = set(fock_sector(modes, total))
+        sector = set(tuple_sector(modes, total))
         occ = data.draw(occupations_near(modes, total))
-        assert (occ in basis) == (occ in sector)
+        try:
+            SparseMultimodeState(basis, [occ], [1.0])
+        except ValidationError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (occ in sector)
+
+    @FOCK_SETTINGS
+    @given(**SECTORS)
+    def test_sector_matches_the_tuple_enumeration(self, modes, total):
+        assert [tuple(row) for row in fock_sector(modes, total).tolist()] == list(
+            tuple_sector(modes, total))
 
     @FOCK_SETTINGS
     @given(**SECTORS)
@@ -272,12 +294,18 @@ class TestFockBasis:
     @FOCK_SETTINGS
     @given(data=st.data(), **SECTORS)
     def test_spanned_sector_follows_enumeration_order(self, data, modes, total):
+        # the stored rows are the nonzero ones, in enumeration order; any other order is refused
         basis = FockBasis(modes, total)
-        ordered = list(fock_sector(modes, total))
-        chosen = data.draw(st.lists(st.sampled_from(ordered), min_size=1, unique=True))
-        amp = 1.0 / math.sqrt(len(chosen))
-        state = SparseMultimodeState(basis, {n: amp for n in chosen})
-        assert list(spanned_sector(state)) == [n for n in ordered if n in set(chosen)]
+        ordered = list(tuple_sector(modes, total))
+        chosen = set(data.draw(st.lists(st.sampled_from(ordered), min_size=1, unique=True)))
+        amps = [1.0 / math.sqrt(len(chosen)) if n in chosen else 0.0 for n in ordered]
+        state = SparseMultimodeState(basis, ordered, amps)
+        assert [tuple(n) for n in state.occupations.tolist()] == [n for n in ordered if n in chosen]
+        if len(ordered) > 1:
+            i = data.draw(st.integers(0, len(ordered) - 2))
+            swapped = ordered[:i] + [ordered[i + 1], ordered[i]] + ordered[i + 2:]
+            with pytest.raises(ValidationError, match="lexicographic order"):
+                SparseMultimodeState(basis, swapped, amps)
 
     @FOCK_SETTINGS
     @given(
@@ -288,7 +316,7 @@ class TestFockBasis:
     )
     def test_foreign_occupations_rejected(self, data, defect, modes, total):
         basis = FockBasis(modes, total)
-        occ = list(data.draw(st.sampled_from(list(fock_sector(modes, total)))))
+        occ = list(data.draw(st.sampled_from(list(tuple_sector(modes, total)))))
         i = data.draw(st.integers(0, modes - 1))
         if defect == "long":  # one mode too many, same particle number
             occ.insert(i, 0)
@@ -301,4 +329,4 @@ class TestFockBasis:
         else:  # right length, entries >= 0, one particle too many
             occ[i] += 1
         with pytest.raises(ValidationError, match="does not belong"):
-            SparseMultimodeState(basis, {tuple(occ): 1.0})
+            SparseMultimodeState(basis, [tuple(occ)], [1.0])

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qsense.core
 import qsense.dqs
@@ -9,11 +11,8 @@ from qsense.core import (
     DENSE_DIMENSION_CAP,
     PROBE_SUPPORT_CAP,
     ValidationError,
-    density_from_pure,
-    diagonal_operator,
-    spanned_sector,
 )
-from qsense.bounds import qfim
+from qsense.bounds import qfim, qfim_pure
 from qsense.dqs import (
     ProbeSpec,
     build_probe,
@@ -27,7 +26,7 @@ from qsense.dqs import (
     probe_to_json,
     verify_probe,
 )
-from qsense.model import unitary_family
+from probe_oracle import dense_model, dict_generators, dict_probe, dict_qfim, dict_to_json
 
 
 def spec(family, d, n, signs=None):
@@ -36,10 +35,14 @@ def spec(family, d, n, signs=None):
     return ProbeSpec(family, local_sensor_network(d, n), signs)
 
 
+def amplitude_map(state):
+    return dict(zip(map(tuple, state.occupations.tolist()), state.amplitudes.tolist()))
+
+
 class TestBuildProbe:
     def test_all_to_nothing_two_sensors_single_particle(self):
         state = build_probe(spec("MEPE", 2, 1))
-        amps = dict(state.amplitudes)
+        amps = amplitude_map(state)
         assert set(amps) == {(1, 0, 1, 0), (0, 1, 0, 1)}
         for a in amps.values():
             assert abs(a - 1 / math.sqrt(2)) < 1e-15
@@ -48,12 +51,12 @@ class TestBuildProbe:
     def test_global_probe_normalisation_identity(self, d):
         assert abs(1 / (1 + math.sqrt(d)) + d / (d + math.sqrt(d)) - 1.0) < 1e-14
         state = build_probe(spec("GENERALIZED_NOON", d, 3))
-        assert abs(state.norm_squared() - 1.0) < 1e-12
+        assert abs(state.weights.sum() - 1.0) < 1e-12
         assert len(state.amplitudes) == d + 1
 
     def test_product_noon_expansion(self):
         state = build_probe(spec("MSPE", 3, 2))
-        amps = dict(state.amplitudes)
+        amps = amplitude_map(state)
         assert len(amps) == 8
         for a in amps.values():
             assert abs(a - 1 / math.sqrt(8)) < 1e-15
@@ -61,11 +64,10 @@ class TestBuildProbe:
     def test_every_family_is_normalised_on_its_sector(self):
         for family in ["MSPS", "MSPE", "MEPS", "MEPE"]:
             state = build_probe(spec(family, 2, 2))
-            assert abs(state.norm_squared() - 1.0) < 1e-12
-            n_t = 4
-            assert all(sum(occ) == n_t for occ in state.amplitudes)
+            assert abs(state.weights.sum() - 1.0) < 1e-12
+            assert (state.occupations.sum(axis=1) == 4).all()
         state = build_probe(spec("GENERALIZED_NOON", 3, 4))
-        assert all(sum(occ) == 4 for occ in state.amplitudes)
+        assert (state.occupations.sum(axis=1) == 4).all()
 
     def test_family_reference_compatibility(self):
         with pytest.raises(ValidationError):
@@ -86,6 +88,59 @@ class TestBuildProbe:
         probe = build_probe(spec("MEPE", 2, 2))
         payload = probe_to_json(probe)
         assert payload["2,0,2,0"] == [1 / math.sqrt(2), 0.0]
+
+
+ORACLE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+class TestAgainstTheDictOracle:
+    """The array builders and QFIM against the per-amplitude dict construction, bit for bit."""
+
+    @ORACLE_SETTINGS
+    @given(data=st.data(), family=st.sampled_from(qsense.dqs.FAMILIES),
+           d=st.integers(1, 4), n=st.integers(1, 4))
+    def test_probe_and_qfim_are_identical(self, data, family, d, n):
+        signs = None
+        if family == "MEPE" and data.draw(st.booleans()):
+            signs = tuple(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d)))
+        probe_spec = spec(family, d, n, signs)
+        state = build_probe(probe_spec)
+        amps = dict_probe(probe_spec)
+        assert probe_to_json(state) == dict_to_json(amps)
+        fisher = qfim_pure(state, phase_generators(probe_spec.network))
+        oracle = dict_qfim(amps, dict_generators(probe_spec.network))
+        assert fisher.matrix.tobytes() == oracle.tobytes()
+
+
+class TestParticleCountFitsFloats:
+    @pytest.mark.parametrize("modes", [2, 3, 4, 8])
+    def test_refusal_is_where_the_largest_weight_overflows(self, modes):
+        def converts(n):
+            q, r = divmod(n, modes)
+            weight = math.factorial(n) // (math.factorial(q + 1) ** r * math.factorial(q) ** (modes - r))
+            try:
+                float(weight)
+            except OverflowError:
+                return False
+            return True
+
+        edge = next(n for n in range(1, 4000) if not converts(n))
+        for n in range(edge - 40, edge + 40):
+            assert qsense.dqs._largest_weight_is_a_float(n, modes) == converts(n)
+
+    @pytest.mark.parametrize("family,d,n", [
+        ("MSPS", 1, 1030), ("MSPS", 1, 2046), ("MSPS", 1, 999_999), ("MEPS", 1, 1030),
+        ("MEPS", 1, 3000),
+    ])
+    def test_overflowing_probe_refused_by_its_spec(self, family, d, n):
+        with pytest.raises(ValidationError, match=f"of {n} particles"):
+            spec(family, d, n)
+
+    @pytest.mark.parametrize("family", ["MSPS", "MEPS"])
+    def test_largest_representable_probe_is_built(self, family):
+        state = build_probe(spec(family, 1, 1029))
+        assert len(state.amplitudes) == 1030
+        assert abs(state.weights.sum() - 1.0) < 1e-12
 
 
 class TestSupportSize:
@@ -161,6 +216,11 @@ class TestGain:
         with pytest.raises(ValidationError):
             gain([0.0, 0.0])
 
+    @pytest.mark.parametrize("nu", [[float("inf"), 0.5], [float("nan"), 0.5]])
+    def test_non_finite_vector_rejected(self, nu):
+        with pytest.raises(ValidationError, match="finite and nonzero"):
+            gain(nu)
+
 
 class TestVerifyProbe:
     def test_all_to_nothing_matches_closed_form(self):
@@ -210,6 +270,18 @@ class TestLargeNetworks:
         nu = None if family == "GENERALIZED_NOON" else nu_average(d)
         assert verify_probe(spec(family, d, n), nu).relative_deviation <= 1e-9
 
+    def test_large_product_probe_stays_small(self):
+        # 823,543 amplitudes over 14 modes, the largest MSPS probe under the support cap
+        probe_spec = spec("MSPS", 7, 6)
+        tracemalloc.start()
+        try:
+            fisher = qfim_pure(build_probe(probe_spec), phase_generators(probe_spec.network))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250e6
+        assert np.abs(fisher.matrix - 6.0 * np.eye(7)).max() < 1e-9
+
     def test_meps_enumerates_its_sector(self, monkeypatch):
         def no_enumeration(modes, total):
             raise AssertionError("enumerated")
@@ -222,8 +294,6 @@ class TestLargeNetworks:
 class TestStructuralProperties:
     @pytest.mark.parametrize("family", ["MSPS", "MSPE"])
     def test_mode_separable_probes_have_diagonal_information(self, family):
-        from qsense.bounds import qfim_pure
-
         for d, n in [(2, 2), (3, 2)]:
             probe = build_probe(spec(family, d, n))
             f = qfim_pure(probe, phase_generators(local_sensor_network(d, n)))
@@ -236,13 +306,7 @@ class TestStructuralProperties:
     )
     def test_commuting_generators_leave_no_curvature(self, family, d, n):
         probe = build_probe(spec(family, d, n))
-        sector = spanned_sector(probe)
-        gens = [
-            diagonal_operator(g, sector)
-            for g in phase_generators(local_sensor_network(d, n))
-        ]
-        model = unitary_family(density_from_pure(probe, sector), gens)
-        res = qfim(model, np.zeros(d))
+        res = qfim(dense_model(probe, phase_generators(local_sensor_network(d, n))), np.zeros(d))
         assert np.abs(res.g_q).max() <= 1e-10
         assert res.r_measure <= 1e-8
 
@@ -257,8 +321,6 @@ class TestStructuralProperties:
         assert abs(msps / mspe - n_t / d) < 1e-9
 
     def test_qfim_values_match_hand_formulas(self):
-        from qsense.bounds import qfim_pure
-
         d, n = 2, 3
         probe = build_probe(spec("MSPE", d, n))
         f = qfim_pure(probe, phase_generators(local_sensor_network(d, n)))
